@@ -241,10 +241,10 @@ func (a *Authorization) SelectNodesCtx(ctx context.Context, doc *dom.Document) (
 
 // SelectIndexesCtx is SelectNodesCtx in index space: the protected
 // element/attribute nodes as dense preorder indexes (Node.Order values)
-// in document order. When the document carries an arena and the path is
-// in the arena-evaluable fragment, the evaluation never touches a
-// *dom.Node — this is the collection route Engine labeling and
-// AuthIndex fills use on arena documents. Without an arena it is
+// in document order. When the document carries an arena, the
+// evaluation never touches a *dom.Node — this is the collection route
+// Engine labeling and AuthIndex fills use on arena documents. Without
+// an arena it is
 // SelectNodesCtx with the orders read off the selected nodes, so both
 // routes return the identical index set.
 func (a *Authorization) SelectIndexesCtx(ctx context.Context, doc *dom.Document) ([]int32, error) {

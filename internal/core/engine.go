@@ -247,9 +247,6 @@ type View struct {
 	Origin map[*dom.Node]*dom.Node
 	// Stats summarizes the computation.
 	Stats Stats
-
-	matOnce sync.Once
-	mat     *dom.Document
 }
 
 // Empty reports whether the view contains nothing at all — the
@@ -295,16 +292,16 @@ func (v *View) XMLIndent(indent string) string {
 }
 
 // Materialize returns the view as a standalone pruned document — what
-// the legacy pipeline returned in Doc. The copy is built on first use
-// and cached (safely under concurrent callers); the serve path never
-// needs it, but validation, XPath queries and offline tools do. The
-// result must not be mutated: it is shared by every caller.
+// the legacy pipeline returned in Doc. Each call builds a fresh copy:
+// neither serving nor queries need one (queries evaluate under the
+// mask), only validation, the differential oracles and offline tools.
+// In the legacy pipeline it returns Doc itself, which must not be
+// mutated.
 func (v *View) Materialize() *dom.Document {
 	if v.Mask == nil {
 		return v.Doc
 	}
-	v.matOnce.Do(func() { v.mat = v.Doc.CloneMasked(v.Mask) })
-	return v.mat
+	return v.Doc.CloneMasked(v.Mask)
 }
 
 // ComputeView runs the paper's compute-view algorithm (Figure 2): it

@@ -83,9 +83,9 @@ func ExampleView_Query() {
 		URI:       "l.xml",
 	}, res.Doc)
 
-	nodes, _ := view.Query("//item")
-	for _, n := range nodes {
-		fmt.Println(n.Text())
+	matches, _ := view.Query("//item")
+	for _, i := range matches {
+		fmt.Println(view.Node(i).Text())
 	}
 	// Output:
 	// pen

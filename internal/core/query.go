@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"xmlsec/internal/dom"
-	"xmlsec/internal/trace"
 	"xmlsec/internal/xpath"
 )
 
@@ -16,38 +15,46 @@ import (
 // requests in the form of generic queries, with the obvious security
 // semantics: query(doc) ≡ query(view(doc)).
 //
-// Under the mask pipeline the expression is evaluated against the
-// lazily materialized view tree rather than node-set-filtered through
-// the mask: predicates, string-values and path steps would otherwise
-// run over the shared original and could leak hidden content (for
-// example //x[@secret='v'] observing a masked attribute). Materializing
-// restores the legacy evaluation domain exactly, and the sync.Once
-// cache amortizes it across queries on the same view.
+// The expression is evaluated over the shared document's arena under
+// the view's mask (xpath.Path.SelectArena): every axis step, predicate
+// position and size, string-value, count() and id() sees only the
+// view's nodes, so hidden content cannot influence the answer — for
+// example //x[@secret='v'] cannot observe a masked attribute, and the
+// character data withheld from an element kept as structure is not part
+// of its string-value. The answer equals what evaluating over the
+// materialized view tree would give (FuzzMaskedQueryParity pins this),
+// without building that tree.
 //
-// The result is a node-set in document order; nodes belong to the
-// (materialized) view document and may be serialized with
-// dom.MarkupString.
-func (v *View) Query(expr string) ([]*dom.Node, error) {
+// The result is a node-set of dense preorder indexes into the view's
+// document, in document order. The indexes address shared original
+// nodes, which may have hidden children: read matches through Node or
+// QueryResult, which copy only what the view shows.
+func (v *View) Query(expr string) ([]int32, error) {
 	return v.QueryCtx(context.Background(), expr)
 }
 
-// QueryCtx is Query with per-request tracing: a traced context records
-// the view materialization and the XPath evaluation as spans.
-func (v *View) QueryCtx(ctx context.Context, expr string) ([]*dom.Node, error) {
+// QueryCtx is Query under a request context: evaluation stops when ctx
+// is done or the evaluation exceeds xpath.MaxVisits, and a traced
+// context records it as an "xpath.eval" span.
+func (v *View) QueryCtx(ctx context.Context, expr string) ([]int32, error) {
 	p, err := xpath.Compile(expr)
 	if err != nil {
 		return nil, err
 	}
+	return v.selectPath(ctx, p)
+}
+
+func (v *View) selectPath(ctx context.Context, p *xpath.Path) ([]int32, error) {
 	if v.Empty() {
 		return nil, nil
 	}
-	sp := trace.StartChild(ctx, "materialize")
-	qdoc := v.Materialize()
-	sp.End()
-	if qdoc.DocumentElement() == nil {
-		return nil, nil
-	}
-	return p.SelectDocCtx(ctx, qdoc)
+	return p.SelectArena(ctx, v.Doc.ReadArena(), v.Mask)
+}
+
+// Node returns a detached copy of the view's node at index i (as Query
+// returns them): the node with its subtree restricted to the view.
+func (v *View) Node(i int32) *dom.Node {
+	return v.Doc.ReadArena().Subtree(i, v.Mask)
 }
 
 // QueryResult wraps query matches as an XML document
@@ -58,28 +65,41 @@ func (v *View) QueryResult(expr string) (*dom.Document, error) {
 	return v.QueryResultCtx(context.Background(), expr)
 }
 
-// QueryResultCtx is QueryResult under a (possibly traced) context.
+// QueryResultCtx is QueryResult under a request context (see QueryCtx).
 func (v *View) QueryResultCtx(ctx context.Context, expr string) (*dom.Document, error) {
-	nodes, err := v.QueryCtx(ctx, expr)
+	p, err := xpath.Compile(expr)
+	if err != nil {
+		return nil, err
+	}
+	return v.QueryResultOf(ctx, p)
+}
+
+// QueryResultOf is QueryResultCtx for an already compiled expression,
+// so a caller that vets the expression first compiles it only once.
+func (v *View) QueryResultOf(ctx context.Context, p *xpath.Path) (*dom.Document, error) {
+	idx, err := v.selectPath(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	doc := dom.NewDocument()
 	root := dom.NewElement("result")
-	root.SetAttr("query", expr)
-	root.SetAttr("count", fmt.Sprintf("%d", len(nodes)))
-	for _, n := range nodes {
-		m := dom.NewElement("match")
-		switch n.Type {
-		case dom.ElementNode:
-			m.AppendChild(n.Clone())
-		case dom.AttributeNode:
-			m.SetAttr("name", n.Name)
-			m.AppendChild(dom.NewText(n.Data))
-		default:
-			m.AppendChild(dom.NewText(n.Data))
+	root.SetAttr("query", p.Source())
+	root.SetAttr("count", strconv.Itoa(len(idx)))
+	if len(idx) > 0 {
+		ar := v.Doc.ReadArena()
+		for _, i := range idx {
+			m := dom.NewElement("match")
+			switch ar.Kind(i) {
+			case dom.ElementNode:
+				m.AppendChild(ar.Subtree(i, v.Mask))
+			case dom.AttributeNode:
+				m.SetAttr("name", ar.Name(i))
+				m.AppendChild(dom.NewText(string(ar.RawData(i))))
+			default:
+				m.AppendChild(dom.NewText(string(ar.RawData(i))))
+			}
+			root.AppendChild(m)
 		}
-		root.AppendChild(m)
 	}
 	doc.SetDocumentElement(root)
 	doc.Renumber()

@@ -9,7 +9,7 @@ type span struct{ off, n uint32 }
 // Arena is the struct-of-arrays document representation: every node of
 // a renumbered Document, laid out as parallel arrays indexed by the
 // node's dense preorder index (Node.Order). The pointer tree remains
-// the adapter for XPath evaluation, DTD validation and the clone-based
+// the adapter for DTD validation, updates and the clone-based
 // differential oracles; the arena is the primary representation on the
 // serve path, where the label, mask and unparse sweeps touch
 // cache-dense arrays instead of chasing pointers.
@@ -253,22 +253,6 @@ func (a *Arena) SubtreeEnd(i int32) int32 {
 	return int32(len(a.kind))
 }
 
-// TextContent returns the XPath string-value of the element or document
-// node at index i: the concatenation of all descendant text and CDATA
-// character data in document order (attribute values are not part of an
-// element's string-value). It is the arena counterpart of Node.Text,
-// computed as one contiguous range scan over the subtree.
-func (a *Arena) TextContent(i int32) string {
-	end := a.SubtreeEnd(i)
-	var buf []byte
-	for j := i; j < end; j++ {
-		if k := a.kind[j]; k == TextNode || k == CDATANode {
-			buf = append(buf, a.RawData(j)...)
-		}
-	}
-	return string(buf)
-}
-
 // DocumentElement returns the index of the document element (the first
 // element child of the document node), or -1 if the arena has none.
 func (a *Arena) DocumentElement() int32 {
@@ -296,11 +280,11 @@ func (a *Arena) Syms() int { return a.syms.Len() }
 func (a *Arena) ByteLen() int { return len(a.bytes) }
 
 // Materialize reconstructs a standalone pointer-tree Document from the
-// arena — the adapter consumers such as XPath evaluation, DTD
-// validation and the differential oracles operate on. The result is
-// renumbered (its Order values equal the arena indexes, since both
-// follow the same preorder convention) and does not share nodes with
-// any other tree; it carries no arena of its own.
+// arena — the adapter consumers such as DTD validation and the
+// differential oracles operate on. The result is renumbered (its Order
+// values equal the arena indexes, since both follow the same preorder
+// convention) and does not share nodes with any other tree; it carries
+// no arena of its own.
 func (a *Arena) Materialize() *Document {
 	d := &Document{
 		Version:    a.version,
@@ -311,33 +295,42 @@ func (a *Arena) Materialize() *Document {
 		dt := *a.docType
 		d.DocType = &dt
 	}
-	var build func(i int32) *Node
-	build = func(i int32) *Node {
-		nd := &Node{Type: a.kind[i], Order: int(i)}
-		switch a.kind[i] {
-		case ElementNode, AttributeNode, ProcessingInstructionNode:
-			nd.Name = a.Name(i)
-		}
-		switch a.kind[i] {
-		case AttributeNode, TextNode, CDATANode, CommentNode, ProcessingInstructionNode:
-			nd.Data = string(a.RawData(i))
-		}
-		if a.kind[i] == AttributeNode && a.Defaulted(i) {
-			nd.Defaulted = true
-		}
-		for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
-			ac := build(at)
+	d.Node = a.Subtree(0, nil)
+	d.nodeCount = len(a.kind)
+	return d
+}
+
+// Subtree returns a detached pointer-tree copy of the node at index i
+// and its subtree, restricted to the mask-visible nodes (a nil mask
+// copies everything). Each copy's Order is its arena index. The mask
+// must be upward-closed, as view masks are: a hidden node is dropped
+// together with its subtree.
+func (a *Arena) Subtree(i int32, mask Bitmask) *Node {
+	nd := &Node{Type: a.kind[i], Order: int(i)}
+	switch a.kind[i] {
+	case ElementNode, AttributeNode, ProcessingInstructionNode:
+		nd.Name = a.Name(i)
+	}
+	switch a.kind[i] {
+	case AttributeNode, TextNode, CDATANode, CommentNode, ProcessingInstructionNode:
+		nd.Data = string(a.RawData(i))
+	}
+	if a.kind[i] == AttributeNode && a.Defaulted(i) {
+		nd.Defaulted = true
+	}
+	for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
+		if mask.VisibleIdx(at) {
+			ac := a.Subtree(at, mask)
 			ac.Parent = nd
 			nd.Attrs = append(nd.Attrs, ac)
 		}
-		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
-			cc := build(c)
+	}
+	for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+		if mask.VisibleIdx(c) {
+			cc := a.Subtree(c, mask)
 			cc.Parent = nd
 			nd.Children = append(nd.Children, cc)
 		}
-		return nd
 	}
-	d.Node = build(0)
-	d.nodeCount = len(a.kind)
-	return d
+	return nd
 }

@@ -299,16 +299,4 @@ func TestArenaQueryHelpers(t *testing.T) {
 	if got := ar.SubtreeEnd(last); got != int32(ar.Len()) {
 		t.Errorf("SubtreeEnd(last) = %d, want %d", got, ar.Len())
 	}
-
-	// String-values: text and CDATA concatenate, comments and attribute
-	// values stay out — exactly Node.Text.
-	if got, want := ar.TextContent(bIdx), b.Text(); got != want {
-		t.Errorf("TextContent(b) = %q, tree says %q", got, want)
-	}
-	if got := ar.TextContent(bIdx); got != "onetwo" {
-		t.Errorf("TextContent(b) = %q, want onetwo", got)
-	}
-	if got := ar.TextContent(0); got != "onetwo" {
-		t.Errorf("TextContent(document) = %q, want onetwo", got)
-	}
 }

@@ -113,6 +113,18 @@ func (d *Document) Arena() *Arena {
 	return d.arena
 }
 
+// ReadArena returns the document's arena, or, when none is built, a
+// fresh one that is not cached on the document — so, unlike Arena, it
+// is safe to call on a renumbered document that readers already share.
+// Only documents without a parser-built arena (hand-built trees, the
+// clone pipeline's pruned copies) pay for the flattening, on every call.
+func (d *Document) ReadArena() *Arena {
+	if d.arena != nil {
+		return d.arena
+	}
+	return buildArena(d)
+}
+
 // ArenaIfBuilt returns the document's arena, or nil if none has been
 // built for the current numbering. Serve-path sweeps use this to pick
 // the array layout when the parser provided one and fall back to

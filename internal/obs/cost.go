@@ -40,11 +40,16 @@ type CostCard struct {
 	NodesKept int64 `json:"nodes_kept,omitempty"`
 
 	// ArenaXPathEvals and TreeXPathEvals count XPath evaluations by
-	// evaluator: arena evaluations sweep the struct-of-arrays document,
-	// tree evaluations walk the pointer DOM (out-of-fragment paths,
-	// arena-less documents, query results).
+	// evaluator: arena evaluations sweep the struct-of-arrays document
+	// (authorization paths and view queries alike), tree evaluations
+	// walk the pointer DOM (arena-less documents only).
 	ArenaXPathEvals int64 `json:"xpath_arena_evals,omitempty"`
 	TreeXPathEvals  int64 `json:"xpath_tree_evals,omitempty"`
+	// XPathBudgetStops counts arena evaluations stopped for exceeding
+	// the node-visit budget (xpath.MaxVisits); XPathCancels those
+	// stopped because the request's context was done.
+	XPathBudgetStops int64 `json:"xpath_budget_stops,omitempty"`
+	XPathCancels     int64 `json:"xpath_cancels,omitempty"`
 
 	// View-cache outcome for this request: at most one of the three is
 	// nonzero per processed document.

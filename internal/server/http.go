@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -317,12 +318,22 @@ func (s *Site) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	case err != nil:
-		// Only a malformed expression is the client's fault; anything
-		// else is an internal failure whose detail (engine internals,
-		// store state) must not reach the client.
+		// A malformed or ill-typed expression is the client's fault, and
+		// so is one that exceeds the evaluation budget; a client that
+		// gave up gets 503. Anything else is an internal failure whose
+		// detail (engine internals, store state) must not reach the
+		// client.
 		var se *xpath.SyntaxError
-		if errors.As(err, &se) {
-			http.Error(w, se.Error(), http.StatusBadRequest)
+		var te *xpath.TypeError
+		switch {
+		case errors.As(err, &se) || errors.As(err, &te):
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		case errors.Is(err, xpath.ErrBudget):
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			return
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			http.Error(w, "query cancelled", http.StatusServiceUnavailable)
 			return
 		}
 		s.logger().Error("query request failed",

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+
+	"xmlsec/internal/authz"
 )
 
 // get performs a request against the site's handler with optional
@@ -206,11 +210,25 @@ func TestHTTPUpdateTooLarge(t *testing.T) {
 	}
 }
 
-// TestHTTPQueryErrors pins the query error mapping: malformed XPath is
-// 400 with the syntax error, anything else is a generic 500 that leaks
-// no internal detail.
+// TestHTTPQueryErrors pins the query error mapping: malformed XPath and
+// expressions that cannot select nodes (count(), string(), arithmetic)
+// are 400 with the compiler's message, an evaluation over its node-visit
+// budget is 422, a cancelled request is 503, and anything else is a
+// generic 500 that leaks no internal detail.
 func TestHTTPQueryErrors(t *testing.T) {
 	site := labSite(t)
+	var big strings.Builder
+	big.WriteString("<r>")
+	for i := 0; i < 5000; i++ {
+		big.WriteString(`<e a="1">t</e>`)
+	}
+	big.WriteString("</r>")
+	if err := site.Docs.AddDocument("big.xml", big.String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Auths.Add(authz.InstanceLevel, authz.MustParse(`<<Public,*,*>,big.xml:/r,read,+,R>`)); err != nil {
+		t.Fatal(err)
+	}
 	h := site.Handler()
 
 	code, body := get(t, h, "/query/CSlab.xml?q=%2F%2F%2F", "Tom", "pw-tom", "130.100.50.8")
@@ -221,13 +239,36 @@ func TestHTTPQueryErrors(t *testing.T) {
 		t.Errorf("400 should carry the syntax error: %q", body)
 	}
 
+	for _, q := range []string{"count(//*)", "string(//title)", "1+1"} {
+		code, body := get(t, h, "/query/CSlab.xml?q="+url.QueryEscape(q), "Tom", "pw-tom", "130.100.50.8")
+		if code != http.StatusBadRequest || !strings.Contains(body, "not a node-set") {
+			t.Errorf("%s: HTTP %d %q, want 400 naming the type error", q, code, body)
+		}
+	}
+
+	code, body = get(t, h, "/query/big.xml?q="+url.QueryEscape("//*[count(//*) > 0]"), "Tom", "pw-tom", "130.100.50.8")
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "budget") {
+		t.Errorf("quadratic query: HTTP %d %q, want 422 naming the budget", code, body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/query/CSlab.xml?q=//title", nil).WithContext(ctx)
+	req.RemoteAddr = "130.100.50.8:40000"
+	req.SetBasicAuth("Tom", "pw-tom")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled query: HTTP %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+
 	// An unparseable peer address makes the requester's subject triple
 	// invalid deep inside the engine — an internal failure, not a
 	// client error, and its detail must not reach the response.
-	req := httptest.NewRequest(http.MethodGet, "/query/CSlab.xml?q=//title", nil)
+	req = httptest.NewRequest(http.MethodGet, "/query/CSlab.xml?q=//title", nil)
 	req.RemoteAddr = "bogus-peer"
 	req.SetBasicAuth("Tom", "pw-tom")
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("internal query error: HTTP %d, want 500: %s", rec.Code, rec.Body.String())

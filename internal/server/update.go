@@ -153,27 +153,34 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 //
 // The view is obtained through Process, so queries share the site's
 // per-requester view cache with document reads. Query evaluation is
-// strictly read-only over the cached view (result nodes are cloned),
-// which keeps the sharing sound under concurrency; a regression test
-// pins this under -race.
+// strictly read-only over the cached view (it reads the shared arena
+// under the view's mask and copies matches out), which keeps the
+// sharing sound under concurrency; a regression test pins this under
+// -race.
 func (s *Site) QueryDoc(rq subjects.Requester, uri, expr string) (*dom.Document, error) {
 	return s.QueryDocContext(context.Background(), rq, uri, expr)
 }
 
-// QueryDocContext is QueryDoc under a request context; a traced
+// QueryDocContext is QueryDoc under a request context: the evaluation
+// stops when ctx is done or exceeds xpath.MaxVisits, and a traced
 // context records the view computation's cycle stages and the query
-// evaluation ("materialize", "xpath.eval") as spans.
+// evaluation ("xpath.eval") as spans.
 func (s *Site) QueryDocContext(ctx context.Context, rq subjects.Requester, uri, expr string) (*dom.Document, error) {
-	// Compile first: a malformed expression is the client's fault and
-	// must fail before it costs a view computation.
-	if _, err := xpath.Compile(expr); err != nil {
+	// Compile and type-check first: a malformed expression, or one that
+	// cannot select nodes, is the client's fault and must fail before
+	// it costs a view computation.
+	p, err := xpath.Compile(expr)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.CheckNodeSet(); err != nil {
 		return nil, err
 	}
 	res, err := s.ProcessContext(ctx, rq, uri)
 	if err != nil {
 		return nil, err
 	}
-	return res.View.QueryResultCtx(ctx, expr)
+	return res.View.QueryResultOf(ctx, p)
 }
 
 // GrantWrite installs a write authorization from its tuple form,

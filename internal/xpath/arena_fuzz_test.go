@@ -8,14 +8,11 @@ import (
 
 // FuzzArenaXPathParity is the arena/tree differential for the query
 // layer: for any expression the compiler accepts, evaluated over a
-// corpus of arena-carrying documents, the arena route and the pointer
-// tree must agree — same error-ness, same index set, same document
-// order. Out-of-fragment expressions route to the tree on both sides,
-// so the comparison degenerates to equality; in-fragment expressions
-// exercise evalArena against the oracle.
+// corpus of arena-carrying documents, the arena route (with no mask)
+// and the pointer tree must agree — same error-ness, same index set,
+// same document order.
 func FuzzArenaXPathParity(f *testing.F) {
 	seeds := []string{
-		// In the fragment.
 		`/a/b`,
 		`//b[@k='v']`,
 		`//b/@k`,
@@ -30,12 +27,24 @@ func FuzzArenaXPathParity(f *testing.F) {
 		`//b[substring(@k, 1, 1) = 'v']`,
 		`//c[sum(b) >= 0]`,
 		`//b[translate(@k, 'v', 'w') = 'w']`,
-		// Outside the fragment: must fall back, still agree.
 		`//b/..`,
 		`//b/ancestor::a`,
 		`(//b)[2]`,
 		`id('n1')`,
 		`//b/following-sibling::c`,
+		`//d/ancestor-or-self::*[2]`,
+		`//b/preceding-sibling::node()[1]`,
+		`//d/following::node()`,
+		`//d/preceding::*[last()]`,
+		`//@k/following::text()`,
+		`//@k/preceding::b`,
+		`//@id/..`,
+		`(//b | //c)[position() < 3]/@k`,
+		`(//text())[last()]/parent::*`,
+		`id('n1 n2')/b`,
+		`id(//@id)[2]`,
+		`//b[id('n2')]/ancestor::*`,
+		`//c[preceding-sibling::b[1]/@k = 'v']`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

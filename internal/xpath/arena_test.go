@@ -9,7 +9,7 @@ import (
 )
 
 // arenaTestDoc is a small document exercising every node kind the
-// arena fragment can test for: nested elements, attributes, text,
+// arena evaluator can test for: nested elements, attributes, text,
 // CDATA, comments and processing instructions.
 const arenaTestDoc = `<?xml version="1.0"?><lab name="crypto"><project type="internal" id="p1"><name>alpha</name><fund amount="100">seed</fund></project><project type="public" id="p2"><name>beta</name><!-- note --><?track on?><data><![CDATA[x<y]]></data></project><misc/></lab>`
 
@@ -38,48 +38,9 @@ func treeOrders(t *testing.T, p *Path, doc *dom.Document) []int32 {
 	return idx
 }
 
-// TestArenaCompatible pins the fragment boundary: which expressions the
-// classifier admits to arena evaluation, and which must fall back.
-func TestArenaCompatible(t *testing.T) {
-	cases := []struct {
-		expr string
-		want bool
-	}{
-		{`/lab/project`, true},
-		{`//project[@type='internal']`, true},
-		{`//project/@id`, true},
-		{`.`, true},
-		{`//fund[@amount > 50]/text()`, true},
-		{`//project[name='alpha' and position() < last()]`, true},
-		{`//data | //misc | /lab/@name`, true},
-		{`//processing-instruction('track')`, true},
-		{`count(//project) + 1`, true},
-		{`//project[contains(normalize-space(name), 'bet')]`, true},
-
-		// Out of fragment: reverse and sibling axes.
-		{`//name/..`, false},
-		{`//fund/ancestor::project`, false},
-		{`//name/parent::project`, false},
-		{`//project/following-sibling::misc`, false},
-		{`//misc/preceding-sibling::*`, false},
-		{`//name/following::data`, false},
-		// Out of fragment: filter expressions and id().
-		{`(//project)[1]`, false},
-		{`id('p1')`, false},
-		{`//project[id('p2')]`, false},
-		// A single offending predicate poisons the whole path.
-		{`//project[../misc]`, false},
-	}
-	for _, tc := range cases {
-		p := MustCompile(tc.expr)
-		if got := p.ArenaCompatible(); got != tc.want {
-			t.Errorf("ArenaCompatible(%q) = %v, want %v", tc.expr, got, tc.want)
-		}
-	}
-}
-
-// TestSelectIndexesParity: for fragment expressions the arena route must
-// run (viaArena true) and return exactly the tree evaluator's index set.
+// TestSelectIndexesParity: on an arena document the arena route must run
+// (viaArena true) for every axis, filter expression and function, and
+// return exactly the tree evaluator's index set.
 func TestSelectIndexesParity(t *testing.T) {
 	doc := parityDoc(t, arenaTestDoc)
 	exprs := []string{
@@ -112,6 +73,39 @@ func TestSelectIndexesParity(t *testing.T) {
 		`//*[text()]`,
 		`descendant::name`,
 		`self::node()`,
+		// Reverse and sibling axes.
+		`//name/..`,
+		`//name/parent::project`,
+		`//fund/ancestor::*`,
+		`//fund/ancestor-or-self::node()`,
+		`//fund/ancestor::*[1]`,
+		`//fund/ancestor::*[last()]`,
+		`//project/following-sibling::*`,
+		`//misc/preceding-sibling::*[1]`,
+		`//misc/preceding-sibling::project[last()]/@id`,
+		`//name/following::*`,
+		`//name/following::text()[2]`,
+		`//data/preceding::*`,
+		`//data/preceding::node()[3]`,
+		`//fund/@amount/following::node()`,
+		`//fund/@amount/preceding::*`,
+		`//@id/..`,
+		`//@type/ancestor::lab`,
+		`//@id/following-sibling::*`,
+		`/..`,
+		`//project[../misc]`,
+		// Filter expressions.
+		`(//project)[1]`,
+		`(//project)[last()]/name`,
+		`(//name | //fund)[2]`,
+		`(//*)[position() > 3][2]`,
+		`(//project//text())[1]/..`,
+		// id().
+		`id('p1')`,
+		`id('p2 p1 nope')/name`,
+		`id(//project/@id)`,
+		`//project[id('p2')]`,
+		`id('p1')[name]`,
 	}
 	for _, src := range exprs {
 		p := MustCompile(src)
@@ -130,9 +124,10 @@ func TestSelectIndexesParity(t *testing.T) {
 	}
 }
 
-// TestSelectIndexesFallback: out-of-fragment expressions must route to
-// tree evaluation (no silent semantic drift — they still return the
-// right answer, just via the oracle).
+// TestSelectIndexesFallback: no expression on an arena document falls
+// back to the tree any more — the expressions that did before the arena
+// evaluator covered the whole language now take the arena route and
+// still agree with the tree.
 func TestSelectIndexesFallback(t *testing.T) {
 	doc := parityDoc(t, arenaTestDoc)
 	exprs := []string{
@@ -149,8 +144,8 @@ func TestSelectIndexesFallback(t *testing.T) {
 			t.Errorf("SelectIndexes(%q): %v", src, err)
 			continue
 		}
-		if viaArena {
-			t.Errorf("SelectIndexes(%q) claims the arena route; the expression is outside the fragment", src)
+		if !viaArena {
+			t.Errorf("SelectIndexes(%q) fell back to the tree on an arena document", src)
 		}
 		want := treeOrders(t, p, doc)
 		if !sameIndexSet(got, want) {
@@ -160,7 +155,7 @@ func TestSelectIndexesFallback(t *testing.T) {
 }
 
 // TestSelectIndexesWithoutArena: a document that carries no arena (e.g.
-// a clone) must take the tree route even for fragment expressions.
+// a clone) must take the tree route.
 func TestSelectIndexesWithoutArena(t *testing.T) {
 	doc := parityDoc(t, arenaTestDoc)
 	doc.DropArena()

@@ -6,7 +6,10 @@
 // preceding-sibling), node tests, positional and boolean predicates, the
 // union operator, and the XPath 1.0 core function library.
 //
-// Expressions are compiled once (Compile) and evaluated many times
-// against DOM trees; the security processor compiles the path expression
-// of every authorization when the authorization is loaded.
+// Expressions are compiled once (Compile) and evaluated many times,
+// natively over a document's arena — optionally restricted to a view's
+// visibility mask and always within a node-visit budget (SelectArena) —
+// or over DOM trees, the differential oracle (Select). The security
+// processor compiles the path expression of every authorization when
+// the authorization is loaded.
 package xpath

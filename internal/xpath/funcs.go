@@ -8,10 +8,12 @@ import (
 	"xmlsec/internal/dom"
 )
 
-// funcSpec describes one core-library function: its arity bounds and
-// implementation. maxArgs < 0 means unbounded.
+// funcSpec describes one core-library function: its arity bounds, the
+// type of its result, and its implementation. maxArgs < 0 means
+// unbounded.
 type funcSpec struct {
 	minArgs, maxArgs int
+	result           ValueKind
 	fn               func(c *context, args []Value) (Value, error)
 }
 
@@ -34,36 +36,36 @@ var functions map[string]funcSpec
 func init() {
 	functions = map[string]funcSpec{
 		// Node-set functions.
-		"last":     {0, 0, fnLast},
-		"position": {0, 0, fnPosition},
-		"count":    {1, 1, fnCount},
-		"name":     {0, 1, fnName},
-		"id":       {1, 1, fnID},
+		"last":     {0, 0, NumberValue, fnLast},
+		"position": {0, 0, NumberValue, fnPosition},
+		"count":    {1, 1, NumberValue, fnCount},
+		"name":     {0, 1, StringValue, fnName},
+		"id":       {1, 1, NodeSetValue, fnID},
 
 		// String functions.
-		"string":           {0, 1, fnString},
-		"concat":           {2, -1, fnConcat},
-		"starts-with":      {2, 2, fnStartsWith},
-		"contains":         {2, 2, fnContains},
-		"substring-before": {2, 2, fnSubstringBefore},
-		"substring-after":  {2, 2, fnSubstringAfter},
-		"substring":        {2, 3, fnSubstring},
-		"string-length":    {0, 1, fnStringLength},
-		"normalize-space":  {0, 1, fnNormalizeSpace},
-		"translate":        {3, 3, fnTranslate},
+		"string":           {0, 1, StringValue, fnString},
+		"concat":           {2, -1, StringValue, fnConcat},
+		"starts-with":      {2, 2, BoolValue, fnStartsWith},
+		"contains":         {2, 2, BoolValue, fnContains},
+		"substring-before": {2, 2, StringValue, fnSubstringBefore},
+		"substring-after":  {2, 2, StringValue, fnSubstringAfter},
+		"substring":        {2, 3, StringValue, fnSubstring},
+		"string-length":    {0, 1, NumberValue, fnStringLength},
+		"normalize-space":  {0, 1, StringValue, fnNormalizeSpace},
+		"translate":        {3, 3, StringValue, fnTranslate},
 
 		// Boolean functions.
-		"boolean": {1, 1, fnBoolean},
-		"not":     {1, 1, fnNot},
-		"true":    {0, 0, fnTrue},
-		"false":   {0, 0, fnFalse},
+		"boolean": {1, 1, BoolValue, fnBoolean},
+		"not":     {1, 1, BoolValue, fnNot},
+		"true":    {0, 0, BoolValue, fnTrue},
+		"false":   {0, 0, BoolValue, fnFalse},
 
 		// Number functions.
-		"number":  {0, 1, fnNumber},
-		"sum":     {1, 1, fnSum},
-		"floor":   {1, 1, fnFloor},
-		"ceiling": {1, 1, fnCeiling},
-		"round":   {1, 1, fnRound},
+		"number":  {0, 1, NumberValue, fnNumber},
+		"sum":     {1, 1, NumberValue, fnSum},
+		"floor":   {1, 1, NumberValue, fnFloor},
+		"ceiling": {1, 1, NumberValue, fnCeiling},
+		"round":   {1, 1, NumberValue, fnRound},
 	}
 }
 

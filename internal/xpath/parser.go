@@ -11,14 +11,12 @@ type Path struct {
 	src  string
 	expr Expr
 
-	// Arena-evaluation plan, classified lazily on first use (see
-	// arena.go): whether the expression falls in the arena-evaluable
-	// fragment, the distinct names its node tests mention, and a
-	// last-arena cache resolving those names to interned symbols.
-	arenaOnce  sync.Once
-	arenaOK    bool
-	arenaNames []string
-	arenaSyms  atomic.Pointer[arenaSymCache]
+	// Arena-evaluation plan, built lazily on first use (see arena.go):
+	// the distinct names the node tests mention, and a last-arena cache
+	// resolving those names to interned symbols.
+	namesOnce sync.Once
+	names     []string
+	arenaSyms atomic.Pointer[arenaSymCache]
 }
 
 // Source returns the original expression text.
