@@ -13,22 +13,19 @@ import (
 	"xmlsec/internal/workload"
 )
 
-// E16 — the struct-of-arrays arena against the pointer tree it
-// flattens, over the same mask pipeline. Both representations run the
-// identical serve path (label + mask + unparse through the visibility
-// bitmask); the only variable is the document layout the sweeps run
-// over: linked Node structs chased pointer by pointer, or parallel
-// arrays indexed by preorder position with pre-escaped byte spans.
-// Dropping the arena reverts every consumer to the tree code paths, so
-// one document measures both layouts.
+// E16 — the struct-of-arrays arena under the mask pipeline: label +
+// mask + unparse through the visibility bitmask, every sweep over
+// parallel arrays indexed by preorder position with pre-escaped byte
+// spans. BENCH_dom.json also holds "tree" rows recorded when these
+// stages had pointer-tree implementations; this experiment no longer
+// produces them.
 
 // domBenchResult is one measured (case, representation, stage) cell,
 // and the record format of BENCH_dom.json. Stage "serve" is the full
 // steady-state cycle (label + mask + unparse, node-set index warm);
 // stage "serve-cold" disables the index so every request re-evaluates
-// every applicable path — the XPath-dominated path where the arena
-// representation now runs the arena-native evaluator instead of the
-// pointer tree; stage "unparse" times serialization alone.
+// every applicable path — the XPath-dominated path, run by the
+// arena-native evaluator; stage "unparse" times serialization alone.
 type domBenchResult struct {
 	Case     string  `json:"case"`
 	Nodes    int     `json:"nodes"`
@@ -108,28 +105,12 @@ func expDom() error {
 		})
 	}
 	for _, c := range cases {
-		if c.doc.ArenaIfBuilt() == nil {
-			c.doc.BuildArena()
-		}
-		// Sanity: both layouts must serve the same bytes before we time
-		// them. The arena serve runs first, then the arena is dropped
-		// and the identical request replays over the tree.
-		av, err := c.eng.ComputeView(c.req, c.doc)
-		if err != nil {
-			return err
-		}
-		arenaXML := av.XMLIndent("  ")
 		hint := c.doc.Arena().SizeHint()
-		c.doc.DropArena()
-		tv, err := c.eng.ComputeView(c.req, c.doc)
+		nodes := c.doc.CountNodes()
+		view, err := c.eng.ComputeView(c.req, c.doc)
 		if err != nil {
 			return err
 		}
-		if arenaXML != tv.XMLIndent("  ") {
-			return fmt.Errorf("%s: representations disagree on output", c.name)
-		}
-		nodes := c.doc.CountNodes()
-
 		serve := func() error {
 			view, err := c.eng.ComputeView(c.req, c.doc)
 			if err != nil {
@@ -140,59 +121,43 @@ func expDom() error {
 			dom.PutBuffer(b)
 			return err
 		}
-		nsTree := map[string]float64{}
-		for _, repr := range []string{"tree", "arena"} {
-			if repr == "arena" {
-				c.doc.BuildArena()
-			} // tree runs first: the arena is already dropped
-			view, err := c.eng.ComputeView(c.req, c.doc)
-			if err != nil {
-				return err
+		unparse := func() error {
+			b := dom.GetBuffer(hint)
+			err := view.WriteXML(b, dom.WriteOptions{Indent: "  "})
+			dom.PutBuffer(b)
+			return err
+		}
+		for _, st := range []struct {
+			name string
+			fn   func() error
+			cold bool
+		}{{"serve", serve, false}, {"serve-cold", serve, true}, {"unparse", unparse, false}} {
+			var saved *core.AuthIndex
+			if st.cold {
+				saved = c.eng.AuthIndex()
+				c.eng.SetAuthIndex(nil)
 			}
-			unparse := func() error {
-				b := dom.GetBuffer(hint)
-				err := view.WriteXML(b, dom.WriteOptions{Indent: "  "})
-				dom.PutBuffer(b)
-				return err
+			br := bench(st.fn)
+			if st.cold {
+				c.eng.SetAuthIndex(saved)
 			}
-			for _, st := range []struct {
-				name string
-				fn   func() error
-				cold bool
-			}{{"serve", serve, false}, {"serve-cold", serve, true}, {"unparse", unparse, false}} {
-				var saved *core.AuthIndex
-				if st.cold {
-					saved = c.eng.AuthIndex()
-					c.eng.SetAuthIndex(nil)
-				}
-				br := bench(st.fn)
-				if st.cold {
-					c.eng.SetAuthIndex(saved)
-				}
-				r := domBenchResult{
-					Case:     c.name,
-					Nodes:    nodes,
-					Repr:     repr,
-					Stage:    st.name,
-					NsPerOp:  float64(br.NsPerOp()),
-					BytesOp:  br.AllocedBytesPerOp(),
-					AllocsOp: br.AllocsPerOp(),
-				}
-				results = append(results, r)
-				suffix := ""
-				if repr == "tree" {
-					nsTree[st.name] = r.NsPerOp
-				} else if base := nsTree[st.name]; base > 0 {
-					suffix = fmt.Sprintf("  (%.2fx)", base/r.NsPerOp)
-				}
-				fmt.Printf("%-14s %-8d %-8s %-9s %-14.0f %-14d %-12d%s\n",
-					r.Case, r.Nodes, r.Repr, r.Stage, r.NsPerOp, r.BytesOp, r.AllocsOp, suffix)
+			r := domBenchResult{
+				Case:     c.name,
+				Nodes:    nodes,
+				Repr:     "arena",
+				Stage:    st.name,
+				NsPerOp:  float64(br.NsPerOp()),
+				BytesOp:  br.AllocedBytesPerOp(),
+				AllocsOp: br.AllocsPerOp(),
 			}
+			results = append(results, r)
+			fmt.Printf("%-14s %-8d %-8s %-9s %-14.0f %-14d %-12d\n",
+				r.Case, r.Nodes, r.Repr, r.Stage, r.NsPerOp, r.BytesOp, r.AllocsOp)
 		}
 	}
 	fmt.Println("(serve = label + mask + pooled unparse with the node-set index warm;")
 	fmt.Println(" serve-cold = same cycle with the index disabled, XPath per request;")
-	fmt.Println(" unparse = serialization alone; outputs verified byte-identical first)")
+	fmt.Println(" unparse = serialization alone)")
 
 	if jsonOut != "" {
 		data, err := json.MarshalIndent(results, "", "  ")

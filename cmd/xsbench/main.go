@@ -12,7 +12,7 @@
 //	                            pipeline conflict subjects xpath cache
 //	                            stages view authindex
 //	xsbench -exp view -json BENCH_view.json
-//	                            clone vs mask serve path, JSON output
+//	                            mask-pipeline serve path, JSON output
 //	xsbench -exp authindex -json BENCH_authindex.json
 //	                            cold vs warm node-set-index labeling
 //	xsbench -exp trace -json BENCH_trace.json

@@ -211,14 +211,6 @@ func (a *Authorization) String() string {
 // neither elements nor attributes are discarded: signs attach only to
 // the units the labeling algorithm knows.
 func (a *Authorization) SelectNodes(doc *dom.Document) ([]*dom.Node, error) {
-	return a.SelectNodesCtx(context.Background(), doc)
-}
-
-// SelectNodesCtx is SelectNodes with per-request tracing: when ctx
-// carries a trace, the path evaluation is recorded as an "xpath.eval"
-// span. With an untraced context it costs exactly what SelectNodes
-// does.
-func (a *Authorization) SelectNodesCtx(ctx context.Context, doc *dom.Document) ([]*dom.Node, error) {
 	if a.path == nil {
 		root := doc.DocumentElement()
 		if root == nil {
@@ -226,7 +218,7 @@ func (a *Authorization) SelectNodesCtx(ctx context.Context, doc *dom.Document) (
 		}
 		return []*dom.Node{root}, nil
 	}
-	nodes, err := a.path.SelectDocCtx(ctx, doc)
+	nodes, err := a.path.SelectDoc(doc)
 	if err != nil {
 		return nil, err
 	}
@@ -239,27 +231,14 @@ func (a *Authorization) SelectNodesCtx(ctx context.Context, doc *dom.Document) (
 	return out, nil
 }
 
-// SelectIndexesCtx is SelectNodesCtx in index space: the protected
-// element/attribute nodes as dense preorder indexes (Node.Order values)
-// in document order. When the document carries an arena, the
-// evaluation never touches a *dom.Node — this is the collection route
-// Engine labeling and AuthIndex fills use on arena documents. Without
-// an arena it is
-// SelectNodesCtx with the orders read off the selected nodes, so both
-// routes return the identical index set.
+// SelectIndexesCtx is SelectNodes in index space, evaluated over the
+// document's arena (doc.ReadArena): the protected element/attribute
+// nodes as dense preorder indexes (Node.Order values) in document
+// order, without touching a *dom.Node. Engine labeling and AuthIndex
+// fills collect node-sets through it; when ctx carries a trace the path
+// evaluation is recorded as an "xpath.eval" span.
 func (a *Authorization) SelectIndexesCtx(ctx context.Context, doc *dom.Document) ([]int32, error) {
-	ar := doc.ArenaIfBuilt()
-	if ar == nil {
-		nodes, err := a.SelectNodesCtx(ctx, doc)
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int32, len(nodes))
-		for i, n := range nodes {
-			idx[i] = int32(n.Order)
-		}
-		return idx, nil
-	}
+	ar := doc.ReadArena()
 	if a.path == nil {
 		root := ar.DocumentElement()
 		if root < 0 {

@@ -8,18 +8,18 @@ import (
 	"xmlsec/internal/xmlparse"
 )
 
-// TestAuthIndexArenaFillSkipsNodeTable pins the index-space contract:
-// filling and consuming node-sets over an arena-carrying document must
-// never build the docIndex's index→node table — that adapter exists
-// only for the pointer-tree labeling route.
-func TestAuthIndexArenaFillSkipsNodeTable(t *testing.T) {
+// TestAuthIndexFillInIndexSpace pins the index-space contract: a fill
+// over a parsed document caches the selected element/attribute nodes as
+// dense preorder indexes into the document's arena, and a repeat lookup
+// is a hit on the same set.
+func TestAuthIndexFillInIndexSpace(t *testing.T) {
 	res := xmlparse.MustParse(`<a><b k="v">x</b><c><b/></c></a>`, xmlparse.Options{})
 	a, err := authz.Parse(`<<*,*,*>,doc.xml://b,read,+,R>`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := NewAuthIndex()
-	set, de, hit, err := x.lookup(context.Background(), res.Doc, 1, a)
+	set, hit, err := x.lookup(context.Background(), res.Doc, 1, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestAuthIndexArenaFillSkipsNodeTable(t *testing.T) {
 			t.Fatalf("index %d names %q, want b", i, got)
 		}
 	}
-	if de.table != nil {
-		t.Fatal("arena fill built the index→node table")
+	again, hit, err := x.lookup(context.Background(), res.Doc, 1, a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The table still materializes on demand for tree-route callers.
-	if tbl := de.nodeTable(); len(tbl) != res.Doc.NodeCount() {
-		t.Fatalf("nodeTable has %d slots, want %d", len(tbl), res.Doc.NodeCount())
+	if !hit || &again[0] != &set[0] {
+		t.Fatal("repeat lookup did not hit the cached set")
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"xmlsec/internal/xmlparse"
 )
 
-// The mask pipeline must be observationally identical to the legacy
-// clone-label-prune pipeline it replaced: for any document,
-// authorization set and requester, serializing the shared document
-// through the visibility mask yields byte-for-byte the XML that
-// pruning a per-request clone used to produce. ComputeViewClone is
-// kept exactly for this role of differential oracle.
+// The mask pipeline must be observationally identical to the
+// reference pipeline: for any document, authorization set and
+// requester, serializing the shared document through the visibility
+// mask yields byte-for-byte the XML of a private copy labeled from
+// first principles (NaiveLabel), physically pruned (PruneDoc) and
+// written by the unmasked pointer-tree writer. The reference shares no
+// code with the arena label, mask and serialize sweeps it checks.
 
 // diffWriteOptions are the serialization shapes compared in every
 // differential check (flat, pretty, with and without prolog).
@@ -28,40 +29,58 @@ var diffWriteOptions = []dom.WriteOptions{
 	{Indent: "\t", OmitDecl: true},
 }
 
-// assertPipelinesAgree computes the view of doc for req through both
-// pipelines and fails the test on any observable difference.
+// referenceView runs the reference pipeline on a copy of doc and
+// returns the pruned copy, whether anything survived, and the
+// statistics ComputeView would report (without the applicable-
+// authorization counts, which only the engine knows).
+func referenceView(t *testing.T, ctx string, eng *core.Engine, req core.Request, doc *dom.Document) (*dom.Document, bool, core.Stats) {
+	t.Helper()
+	ref := doc.Clone()
+	lb, err := eng.NaiveLabel(req, ref, true)
+	if err != nil {
+		t.Fatalf("%s: reference labeling: %v", ctx, err)
+	}
+	st := core.Stats{Nodes: ref.CountNodes()}
+	st.Plus, st.Minus, st.Eps = lb.Count()
+	visible := core.PruneDoc(ref, lb, eng.PolicyFor(req.URI))
+	st.Kept = ref.CountNodes()
+	return ref, visible, st
+}
+
+// assertPipelinesAgree computes the view of doc for req through the
+// mask pipeline and the reference pipeline and fails the test on any
+// observable difference.
 func assertPipelinesAgree(t *testing.T, ctx string, eng *core.Engine, req core.Request, doc *dom.Document) {
 	t.Helper()
 	mv, err := eng.ComputeView(req, doc)
 	if err != nil {
 		t.Fatalf("%s: mask pipeline: %v", ctx, err)
 	}
-	cv, err := eng.ComputeViewClone(req, doc)
-	if err != nil {
-		t.Fatalf("%s: clone pipeline: %v", ctx, err)
+	ref, visible, want := referenceView(t, ctx, eng, req, doc)
+	if mv.Empty() == visible {
+		t.Fatalf("%s: emptiness disagrees: mask %v, reference %v", ctx, mv.Empty(), !visible)
 	}
-	if mv.Empty() != cv.Empty() {
-		t.Fatalf("%s: emptiness disagrees: mask %v, clone %v", ctx, mv.Empty(), cv.Empty())
-	}
-	if mv.Stats != cv.Stats {
-		t.Errorf("%s: stats disagree: mask %+v, clone %+v", ctx, mv.Stats, cv.Stats)
+	got := mv.Stats
+	got.AuthsInstance, got.AuthsSchema = 0, 0
+	if got != want {
+		t.Errorf("%s: stats disagree: mask %+v, reference %+v", ctx, got, want)
 	}
 	for _, opts := range diffWriteOptions {
 		var a, b strings.Builder
 		if err := mv.WriteXML(&a, opts); err != nil {
 			t.Fatalf("%s: mask serialization: %v", ctx, err)
 		}
-		if err := cv.WriteXML(&b, opts); err != nil {
-			t.Fatalf("%s: clone serialization: %v", ctx, err)
+		if err := ref.Write(&b, opts); err != nil {
+			t.Fatalf("%s: reference serialization: %v", ctx, err)
 		}
 		if a.String() != b.String() {
-			t.Errorf("%s: serializations differ (opts %+v):\n--- mask ---\n%s\n--- clone ---\n%s",
+			t.Errorf("%s: serializations differ (opts %+v):\n--- mask ---\n%s\n--- reference ---\n%s",
 				ctx, opts, a.String(), b.String())
 		}
 	}
-	// The materialized mask view must match the pruned clone as a tree.
-	if got, want := mv.Materialize().StringIndent("  "), cv.Doc.StringIndent("  "); got != want {
-		t.Errorf("%s: materialized view differs from pruned clone:\n--- mask ---\n%s\n--- clone ---\n%s",
+	// The materialized mask view must match the pruned copy as a tree.
+	if got, want := mv.Materialize().StringIndent("  "), ref.StringIndent("  "); got != want {
+		t.Errorf("%s: materialized view differs from pruned copy:\n--- mask ---\n%s\n--- reference ---\n%s",
 			ctx, got, want)
 	}
 }
@@ -209,44 +228,22 @@ func TestDifferentialDeepDocument(t *testing.T) {
 	if got, want := strings.Count(out, "<c>"), depth; got != want {
 		t.Fatalf("structural chain truncated: %d of %d <c> elements", got, want)
 	}
-	cv, err := eng.ComputeViewClone(req, doc)
+	// NaiveLabel climbs every node's ancestor chain, which is quadratic
+	// in depth (seconds at 10000), so the reference copy takes its labels
+	// from the engine; the transformation and serialization still run
+	// through PruneDoc and the pointer-tree writer. Label parity with
+	// NaiveLabel is pinned by the other differential tests.
+	ref := doc.Clone()
+	lb, _, err := eng.Label(req, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.PruneDoc(ref, lb, eng.PolicyFor(req.URI))
 	var b strings.Builder
-	if err := cv.WriteXML(&b, dom.WriteOptions{OmitDecl: true, OmitDocType: true}); err != nil {
+	if err := ref.Write(&b, dom.WriteOptions{OmitDecl: true, OmitDocType: true}); err != nil {
 		t.Fatal(err)
 	}
 	if out != b.String() {
 		t.Error("deep-document serializations differ between pipelines")
-	}
-}
-
-// TestLegacyCloneViewsOption pins the Engine.LegacyCloneViews escape
-// hatch: it routes ComputeView through the clone pipeline (views carry
-// an Origin map and a private tree) without changing the output.
-func TestLegacyCloneViewsOption(t *testing.T) {
-	doc, _ := labexample.Parse()
-	req := core.Request{Requester: labexample.Tom, URI: labexample.DocURI, DTDURI: labexample.DTDURI}
-
-	eng := core.NewEngine(labexample.Directory(), labexample.Store())
-	mask, err := eng.ComputeView(req, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask.Mask == nil || mask.Origin != nil || mask.Doc != doc {
-		t.Error("default pipeline should share the document under a mask")
-	}
-
-	eng.LegacyCloneViews = true
-	clone, err := eng.ComputeView(req, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clone.Mask != nil || clone.Origin == nil || clone.Doc == doc {
-		t.Error("LegacyCloneViews should produce a private pruned clone with provenance")
-	}
-	if mask.XMLIndent("  ") != clone.XMLIndent("  ") {
-		t.Error("pipelines disagree on the served XML")
 	}
 }

@@ -49,12 +49,11 @@ func denyf(format string, args ...any) error {
 // On success MergeView returns a fresh document (orig is not mutated)
 // carrying orig's prolog and DOCTYPE.
 //
-// The view may come from either pipeline. Under the mask pipeline the
-// view nodes are the original nodes and visibility is the mask, so the
-// provenance that the legacy pipeline kept in an Origin map comes for
-// free as the identity; the merger reads attributes, content and child
-// lists of view elements through the mask so hidden parts of a shared
-// node never count as "shown to the requester".
+// The view nodes are the original nodes and visibility is the mask, so
+// provenance comes for free as the identity (View.OriginOf); the merger
+// reads attributes, content and child lists of view elements through
+// the mask so hidden parts of a shared node never count as "shown to
+// the requester".
 func MergeView(orig *dom.Document, view *View, updated *dom.Document, writable func(*dom.Node) bool) (*dom.Document, error) {
 	newRoot := updated.DocumentElement()
 	origRoot := orig.DocumentElement()

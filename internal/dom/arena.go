@@ -9,9 +9,9 @@ type span struct{ off, n uint32 }
 // Arena is the struct-of-arrays document representation: every node of
 // a renumbered Document, laid out as parallel arrays indexed by the
 // node's dense preorder index (Node.Order). The pointer tree remains
-// the adapter for DTD validation, updates and the clone-based
-// differential oracles; the arena is the primary representation on the
-// serve path, where the label, mask and unparse sweeps touch
+// the adapter for DTD validation, updates and the reference pipeline
+// tests compare against; the arena is the only representation the
+// label, mask, masked-unparse and XPath sweeps run over, touching
 // cache-dense arrays instead of chasing pointers.
 //
 // Layout invariants (see docs/ARENA.md):
@@ -281,7 +281,7 @@ func (a *Arena) ByteLen() int { return len(a.bytes) }
 
 // Materialize reconstructs a standalone pointer-tree Document from the
 // arena — the adapter consumers such as DTD validation and the
-// differential oracles operate on. The result is renumbered (its Order
+// reference pipeline tests operate on. The result is renumbered (its Order
 // values equal the arena indexes, since both follow the same preorder
 // convention) and does not share nodes with any other tree; it carries
 // no arena of its own.

@@ -7,19 +7,16 @@ import (
 )
 
 // serializeBothWays renders the document through the arena serializer
-// and through the pointer-tree serializer and fails on any byte
-// difference — the parity every arena consumer depends on. The arena
-// is left in place afterwards.
+// and, via an arena-less Clone, through the pointer-tree serializer,
+// and fails on any byte difference — the parity every arena consumer
+// depends on.
 func serializeBothWays(t *testing.T, doc *Document, indent string) string {
 	t.Helper()
-	if doc.ArenaIfBuilt() == nil {
+	if doc.arena == nil {
 		t.Fatal("document has no arena to compare")
 	}
 	viaArena := doc.StringIndent(indent)
-	ar := doc.arena
-	doc.DropArena()
-	viaTree := doc.StringIndent(indent)
-	doc.arena = ar
+	viaTree := doc.Clone().StringIndent(indent)
 	if viaArena != viaTree {
 		t.Fatalf("arena and tree serializations differ (indent %q):\n--- arena ---\n%s\n--- tree ---\n%s",
 			indent, viaArena, viaTree)
@@ -232,12 +229,12 @@ func TestArenaInvalidation(t *testing.T) {
 	doc.SetDocumentElement(root)
 	doc.Renumber()
 	doc.BuildArena()
-	if doc.ArenaIfBuilt() == nil {
+	if doc.arena == nil {
 		t.Fatal("BuildArena left no arena")
 	}
 	root.AppendChild(NewElement("b"))
 	doc.Renumber()
-	if doc.ArenaIfBuilt() != nil {
+	if doc.arena != nil {
 		t.Fatal("Renumber kept a stale arena")
 	}
 	ar := doc.BuildArena()
@@ -298,5 +295,53 @@ func TestArenaQueryHelpers(t *testing.T) {
 	last := int32(ar.Len() - 1)
 	if got := ar.SubtreeEnd(last); got != int32(ar.Len()) {
 		t.Errorf("SubtreeEnd(last) = %d, want %d", got, ar.Len())
+	}
+}
+
+// TestMaskedWriteWithoutArena: a masked write of a document that
+// carries no arena (a hand-built tree) sweeps an uncached arena and
+// emits exactly what the tree writer emits for CloneMasked — without
+// caching the arena on the document.
+func TestMaskedWriteWithoutArena(t *testing.T) {
+	doc := NewDocument()
+	root := NewElement("a")
+	root.SetAttr("x", "1")
+	root.SetAttr("y", "2")
+	b := NewElement("b")
+	b.AppendChild(NewText("keep"))
+	c := NewElement("c")
+	c.AppendChild(NewText("drop"))
+	c.AppendChild(NewElement("d"))
+	root.AppendChild(b)
+	root.AppendChild(c)
+	doc.SetDocumentElement(root)
+	doc.Renumber()
+	mask := NewBitmask(doc.NodeCount())
+	doc.Walk(func(n *Node) bool {
+		if n.Name != "y" && n.Data != "drop" {
+			mask.Set(n.Order)
+		}
+		return true
+	})
+	for _, opts := range []WriteOptions{{}, {Indent: "  "}} {
+		var got, want strings.Builder
+		opts.Mask = mask
+		if err := doc.Write(&got, opts); err != nil {
+			t.Fatal(err)
+		}
+		opts.Mask = nil
+		if err := doc.CloneMasked(mask).Write(&want, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("masked write differs from CloneMasked (indent %q):\n--- masked ---\n%s\n--- clone ---\n%s",
+				opts.Indent, got.String(), want.String())
+		}
+		if strings.Contains(got.String(), "drop") || strings.Contains(got.String(), `y="2"`) {
+			t.Errorf("masked write leaked hidden content:\n%s", got.String())
+		}
+	}
+	if doc.arena != nil {
+		t.Fatal("masked write cached an arena on the document")
 	}
 }

@@ -116,24 +116,16 @@ func (d *Document) Arena() *Arena {
 // ReadArena returns the document's arena, or, when none is built, a
 // fresh one that is not cached on the document — so, unlike Arena, it
 // is safe to call on a renumbered document that readers already share.
-// Only documents without a parser-built arena (hand-built trees, the
-// clone pipeline's pruned copies) pay for the flattening, on every call.
+// Every read-side sweep (labeling, visibility, masked serialization,
+// XPath) goes through it. Documents the parser built carry their arena
+// and pay nothing; only documents built in memory without one
+// (hand-built trees, clones) pay for the flattening, on every call.
 func (d *Document) ReadArena() *Arena {
 	if d.arena != nil {
 		return d.arena
 	}
 	return buildArena(d)
 }
-
-// ArenaIfBuilt returns the document's arena, or nil if none has been
-// built for the current numbering. Serve-path sweeps use this to pick
-// the array layout when the parser provided one and fall back to
-// pointer walks (the differential oracle) otherwise.
-func (d *Document) ArenaIfBuilt() *Arena { return d.arena }
-
-// DropArena discards the cached arena, forcing pointer-tree code
-// paths; benchmarks use it to measure the tree baseline.
-func (d *Document) DropArena() { d.arena = nil }
 
 // NodeCount returns the number of nodes in the document as of the last
 // Renumber, renumbering first if the document never was. Together with
@@ -149,47 +141,9 @@ func (d *Document) NodeCount() int {
 	return d.nodeCount
 }
 
-// Clone returns a deep copy of the document, renumbered.
-func (d *Document) Clone() *Document {
-	c, _ := d.CloneWithMap()
-	return c
-}
-
-// CloneWithMap returns a deep copy of the document together with the
-// mapping from each copied node back to its original — the provenance
-// the write-through-views merge needs to translate view nodes into
-// authorization targets on the original tree.
-func (d *Document) CloneWithMap() (*Document, map[*Node]*Node) {
-	origin := make(map[*Node]*Node)
-	var cloneNode func(n *Node) *Node
-	cloneNode = func(n *Node) *Node {
-		c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, Order: n.Order, Defaulted: n.Defaulted}
-		origin[c] = n
-		for _, a := range n.Attrs {
-			ac := cloneNode(a)
-			ac.Parent = c
-			c.Attrs = append(c.Attrs, ac)
-		}
-		for _, ch := range n.Children {
-			cc := cloneNode(ch)
-			cc.Parent = c
-			c.Children = append(c.Children, cc)
-		}
-		return c
-	}
-	c := &Document{
-		Node:       cloneNode(d.Node),
-		Version:    d.Version,
-		Encoding:   d.Encoding,
-		Standalone: d.Standalone,
-	}
-	if d.DocType != nil {
-		dt := *d.DocType
-		c.DocType = &dt
-	}
-	c.Renumber()
-	return c, origin
-}
+// Clone returns a deep copy of the document, renumbered. The copy
+// carries no arena.
+func (d *Document) Clone() *Document { return d.CloneMasked(nil) }
 
 // CloneMasked returns a deep copy of the document restricted to the
 // mask-visible nodes: an invisible node is dropped together with its
@@ -198,9 +152,10 @@ func (d *Document) CloneWithMap() (*Document, map[*Node]*Node) {
 // mask clones everything. The copy is renumbered.
 //
 // This materializes a masked view as an ordinary document — the same
-// tree the legacy clone-then-prune pipeline produced — for consumers
-// that need a standalone tree (validation, offline tools). The serve
-// path never calls it; it serializes through the mask instead.
+// tree core.PruneDoc leaves behind — for consumers that need a
+// standalone tree (validation, offline tools, the reference pipeline
+// tests compare against). The serve path never calls it; it
+// serializes through the mask instead.
 func (d *Document) CloneMasked(mask Bitmask) *Document {
 	var cloneNode func(n *Node) *Node
 	cloneNode = func(n *Node) *Node {

@@ -28,7 +28,7 @@ import "sync"
 type CostCard struct {
 	// Class is the requester's authorization-equivalence class
 	// (subjects.ClassID), or -1 when the request was not classified
-	// (cache disabled, legacy triple keying, unresolvable requester).
+	// (cache disabled, unresolvable requester).
 	Class int64 `json:"class"`
 
 	// NodesLabeled counts element+attribute nodes run through label
@@ -39,12 +39,10 @@ type CostCard struct {
 	// NodesKept counts nodes the sweep kept in the view.
 	NodesKept int64 `json:"nodes_kept,omitempty"`
 
-	// ArenaXPathEvals and TreeXPathEvals count XPath evaluations by
-	// evaluator: arena evaluations sweep the struct-of-arrays document
-	// (authorization paths and view queries alike), tree evaluations
-	// walk the pointer DOM (arena-less documents only).
+	// ArenaXPathEvals counts XPath evaluations, each a sweep of the
+	// struct-of-arrays document (authorization paths and view queries
+	// alike).
 	ArenaXPathEvals int64 `json:"xpath_arena_evals,omitempty"`
-	TreeXPathEvals  int64 `json:"xpath_tree_evals,omitempty"`
 	// XPathBudgetStops counts arena evaluations stopped for exceeding
 	// the node-visit budget (xpath.MaxVisits); XPathCancels those
 	// stopped because the request's context was done.

@@ -9,9 +9,8 @@ import (
 	"xmlsec/internal/subjects"
 )
 
-// viewCache memoizes processed views per document and — by default —
-// per authorization-equivalence *class* rather than per requester
-// triple: a view depends on a requester only through the set of
+// viewCache memoizes processed views per document and per
+// authorization-equivalence *class* rather than per requester triple: a view depends on a requester only through the set of
 // authorizations applicable to it (subjects.ClassIndex), so the cache
 // holds one entry per (class, document) however many distinct
 // requesters are served. Entries are additionally keyed on the
@@ -29,15 +28,7 @@ import (
 // requesters behind one cold entry computes the view exactly once,
 // with the followers waiting on the leader's flight instead of
 // stampeding the engine.
-//
-// legacyTriple switches keying back to the historical normalized
-// ⟨user, ip, host⟩ triple. It exists as the differential oracle for
-// the class index — a triple-keyed and a class-keyed cache must serve
-// byte-identical views — and scales with the requester population, so
-// it is not the serving configuration.
 type viewCache struct {
-	legacyTriple bool
-
 	mu      sync.Mutex
 	max     int
 	lru     *list.List // front = most recent; values are *cacheEntry
@@ -47,19 +38,15 @@ type viewCache struct {
 	hits, misses, coalesced atomic.Uint64
 }
 
-// viewKey identifies one cached view. In class mode the requester
-// appears only through its equivalence class; in legacy triple mode
-// through its normalized identity triple (and class is unused — class
-// IDs are monotonic, so the zero value can collide with a real class 0
-// only if both modes shared one cache, which they never do).
+// viewKey identifies one cached view. The requester appears only
+// through its equivalence class.
 type viewKey struct {
-	class          subjects.ClassID
-	user, ip, host string
-	uri            string
-	authGen        uint64
-	docGen         uint64
-	polGen         uint64
-	dirGen         uint64
+	class   subjects.ClassID
+	uri     string
+	authGen uint64
+	docGen  uint64
+	polGen  uint64
+	dirGen  uint64
 }
 
 type cacheEntry struct {
@@ -178,15 +165,11 @@ func (c *viewCache) Stats() (hits, misses uint64) {
 func (c *viewCache) Coalesced() uint64 { return c.coalesced.Load() }
 
 // CacheEntryInfo describes one cached view for state introspection
-// (/debug/cachez): its key fields — the equivalence class (or, in
-// legacy mode, the requester triple), the document, and the four
-// generations the entry is valid under — plus its age and the size of
+// (/debug/cachez): its key fields — the equivalence class, the
+// document, and the four generations the entry is valid under — plus its age and the size of
 // the unparsed XML it shortcuts to.
 type CacheEntryInfo struct {
 	Class        subjects.ClassID `json:"class"`
-	User         string           `json:"user,omitempty"`
-	IP           string           `json:"ip,omitempty"`
-	Host         string           `json:"host,omitempty"`
 	URI          string           `json:"uri"`
 	AuthGen      uint64           `json:"auth_gen"`
 	DocGen       uint64           `json:"doc_gen"`
@@ -206,8 +189,7 @@ func (c *viewCache) Entries() []CacheEntryInfo {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		info := CacheEntryInfo{
-			Class: e.key.class, User: e.key.user, IP: e.key.ip, Host: e.key.host,
-			URI: e.key.uri, AuthGen: e.key.authGen, DocGen: e.key.docGen,
+			Class: e.key.class, URI: e.key.uri, AuthGen: e.key.authGen, DocGen: e.key.docGen,
 			PolicyGen: e.key.polGen, DirectoryGen: e.key.dirGen,
 			AgeNs: now.Sub(e.at).Nanoseconds(),
 		}
@@ -229,23 +211,10 @@ func (c *viewCache) Len() int {
 	return c.lru.Len()
 }
 
-// classKey builds the class-mode key. dirGen is redundant there —
-// a directory change re-partitions the class index, whose IDs are
-// never reused — but keeping the key shape identical across modes
-// keeps legacy mode correct under membership changes too.
+// classKey builds the key of class's view of uri under the given
+// generations. dirGen is redundant — a directory change re-partitions
+// the class index, whose IDs are never reused — and kept as a cheap
+// second guard against serving a view across a membership change.
 func classKey(class subjects.ClassID, uri string, authGen, docGen, polGen, dirGen uint64) viewKey {
 	return viewKey{class: class, uri: uri, authGen: authGen, docGen: docGen, polGen: polGen, dirGen: dirGen}
-}
-
-// tripleKey builds the legacy-mode key from the requester's normalized
-// identity. Normalization matters: `""` and `"anonymous"` are the same
-// subject, and resolvers that report `Tweety.Lab.Com` mean the same
-// location as `tweety.lab.com` — un-normalized they would split into
-// duplicate entries.
-func tripleKey(rq subjects.Requester, uri string, authGen, docGen, polGen, dirGen uint64) viewKey {
-	rq = rq.Normalized()
-	return viewKey{
-		user: rq.User, ip: rq.IP, host: rq.Host,
-		uri: uri, authGen: authGen, docGen: docGen, polGen: polGen, dirGen: dirGen,
-	}
 }

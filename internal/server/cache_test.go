@@ -109,9 +109,9 @@ func TestViewCacheBypassedWithTimeBoundedAuths(t *testing.T) {
 
 func TestViewCacheLRUEviction(t *testing.T) {
 	c := newViewCache(2)
-	k1 := viewKey{user: "a", uri: "1"}
-	k2 := viewKey{user: "a", uri: "2"}
-	k3 := viewKey{user: "a", uri: "3"}
+	k1 := viewKey{class: 1, uri: "1"}
+	k2 := viewKey{class: 1, uri: "2"}
+	k3 := viewKey{class: 1, uri: "3"}
 	c.put(k1, &ProcessResult{XML: "1"})
 	c.put(k2, &ProcessResult{XML: "2"})
 	if _, ok := c.get(k1); !ok {

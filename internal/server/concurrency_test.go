@@ -67,7 +67,7 @@ func TestConcurrentProcess(t *testing.T) {
 // cached ProcessResult.View entries are never mutated by concurrent
 // /docs/ reads and /query/ evaluations on the same cache entry. Since
 // QueryDoc obtains its view through Process, both endpoints share one
-// cached *core.View per requester triple: any write to that shared tree
+// cached *core.View per requester class: any write to that shared tree
 // shows up here as a -race report or as a response that drifts from the
 // baseline.
 func TestConcurrentCachedViewImmutability(t *testing.T) {

@@ -20,15 +20,13 @@ type StoredDoc struct {
 	// DTDURI is the URI of the DTD the document is an instance of;
 	// empty for DTD-less documents.
 	DTDURI string
-	// Doc is the parsed tree (attribute defaults applied) — the
-	// adapter XPath evaluation, validation and the differential
-	// oracles walk.
+	// Doc is the parsed tree (attribute defaults applied). It carries
+	// the arena the parser built (Doc.ReadArena), which the serve
+	// path's label/mask/unparse sweeps and XPath evaluation run over;
+	// the tree is the adapter for DTD validation and updates. Doc is
+	// immutable for the lifetime of this registration: a PUT installs
+	// a whole new StoredDoc under a new generation.
 	Doc *dom.Document
-	// Arena is the struct-of-arrays representation of Doc, built at
-	// parse time; the serve path's label/mask/unparse sweeps run over
-	// it. Both are immutable for the lifetime of this registration: a
-	// PUT installs a whole new StoredDoc under a new generation.
-	Arena *dom.Arena
 	// DTD is the parsed document type definition, or nil.
 	DTD *dtd.DTD
 }
@@ -123,7 +121,7 @@ func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", uri, err)
 	}
-	sd := &StoredDoc{URI: uri, Source: source, Doc: res.Doc, Arena: res.Arena}
+	sd := &StoredDoc{URI: uri, Source: source, Doc: res.Doc}
 	if res.Doc.DocType != nil && res.Doc.DocType.SystemID != "" {
 		sd.DTDURI = res.Doc.DocType.SystemID
 	}

@@ -18,8 +18,8 @@ func unparseView(t testing.TB, site *Site, rq subjects.Requester) (string, *dom.
 		t.Fatal(err)
 	}
 	sd := site.Docs.Doc(labexample.DocURI)
-	ar := sd.Doc.ArenaIfBuilt()
-	if ar == nil {
+	ar := sd.Doc.ReadArena()
+	if ar != sd.Doc.ReadArena() {
 		t.Fatal("stored document carries no arena")
 	}
 	return res.XML, ar
@@ -85,7 +85,7 @@ func BenchmarkUnparsePooled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ar := sd.Doc.ArenaIfBuilt()
+	ar := sd.Doc.ReadArena()
 	opts := dom.WriteOptions{Indent: "  "}
 	b.ReportAllocs()
 	b.ResetTimer()

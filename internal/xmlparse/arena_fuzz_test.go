@@ -144,8 +144,9 @@ func TestArenaDTDDefaultedAttr(t *testing.T) {
 // parser accepts, the struct-of-arrays arena must mirror the pointer
 // tree node for node, the Materialize adapter must serialize to the
 // same bytes as the original tree, and the full label→mask→unparse
-// cycle over the arena must be byte-identical to the clone-label-prune
-// pipeline (which never sees an arena) under a seed-derived policy.
+// cycle over the arena must be byte-identical to the reference pipeline
+// (NaiveLabel, PruneDoc and the pointer-tree writer over a clone, which
+// never sees an arena) under a seed-derived policy.
 func FuzzArenaParity(f *testing.F) {
 	seeds := []string{
 		`<a/>`,
@@ -168,7 +169,7 @@ func FuzzArenaParity(f *testing.F) {
 		if res.Arena == nil {
 			t.Fatal("parser returned no arena")
 		}
-		if res.Doc.ArenaIfBuilt() != res.Arena {
+		if res.Doc.ReadArena() != res.Arena {
 			t.Fatal("Result.Arena is not the document's arena")
 		}
 		checkArenaStructure(t, res.Doc, res.Arena)
@@ -180,8 +181,10 @@ func FuzzArenaParity(f *testing.F) {
 		}
 
 		// Full-cycle differential under a derived policy: the mask
-		// pipeline labels and serializes over the arena; the clone
-		// pipeline copies the tree (clones carry no arena) and prunes.
+		// pipeline labels, masks and serializes over the arena; the
+		// reference pipeline labels a copy from first principles
+		// (NaiveLabel), prunes it (PruneDoc) and writes it with the
+		// pointer-tree writer (clones carry no arena).
 		dir := subjects.NewDirectory()
 		if err := dir.AddUser("u"); err != nil {
 			t.Fatal(err)
@@ -201,26 +204,33 @@ func FuzzArenaParity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("mask pipeline: %v", err)
 		}
-		cv, err := eng.ComputeViewClone(req, res.Doc)
+		ref := res.Doc.Clone()
+		lb, err := eng.NaiveLabel(req, ref, true)
 		if err != nil {
-			t.Fatalf("clone pipeline: %v", err)
+			t.Fatalf("reference labeling: %v", err)
 		}
-		if mv.Empty() != cv.Empty() {
-			t.Fatalf("emptiness disagrees: mask %v, clone %v", mv.Empty(), cv.Empty())
+		want := core.Stats{Nodes: ref.CountNodes()}
+		want.Plus, want.Minus, want.Eps = lb.Count()
+		visible := core.PruneDoc(ref, lb, eng.PolicyFor(req.URI))
+		want.Kept = ref.CountNodes()
+		if mv.Empty() == visible {
+			t.Fatalf("emptiness disagrees: mask %v, reference %v", mv.Empty(), !visible)
 		}
-		if mv.Stats != cv.Stats {
-			t.Fatalf("stats disagree: mask %+v, clone %+v", mv.Stats, cv.Stats)
+		got := mv.Stats
+		got.AuthsInstance, got.AuthsSchema = 0, 0
+		if got != want {
+			t.Fatalf("stats disagree: mask %+v, reference %+v", got, want)
 		}
 		for _, opts := range []dom.WriteOptions{{}, {Indent: "  "}} {
 			var a, b strings.Builder
 			if err := mv.WriteXML(&a, opts); err != nil {
 				t.Fatalf("arena serialization: %v", err)
 			}
-			if err := cv.WriteXML(&b, opts); err != nil {
-				t.Fatalf("clone serialization: %v", err)
+			if err := ref.Write(&b, opts); err != nil {
+				t.Fatalf("reference serialization: %v", err)
 			}
 			if a.String() != b.String() {
-				t.Fatalf("masked serializations differ (opts %+v):\n--- arena ---\n%s\n--- clone ---\n%s",
+				t.Fatalf("masked serializations differ (opts %+v):\n--- arena ---\n%s\n--- reference ---\n%s",
 					opts, a.String(), b.String())
 			}
 		}

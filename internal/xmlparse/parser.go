@@ -99,13 +99,13 @@ const defaultMaxEntityExpansion = 1 << 20
 // Result carries everything a parse produces.
 type Result struct {
 	// Doc is the document tree, renumbered in document order. It is
-	// the adapter view of the document — XPath evaluation, DTD
-	// validation and the clone-based differential oracles operate on
-	// it — and it carries the arena (Doc.Arena() returns Arena).
+	// the adapter view of the document — DTD validation, updates and
+	// the reference pipeline tests operate on it — and it carries the
+	// arena (Doc.ReadArena() returns Arena).
 	Doc *dom.Document
 	// Arena is the struct-of-arrays representation of the same
-	// document, built at parse time: the primary artifact the serve
-	// path's label, mask and unparse sweeps run over. Indexes are
+	// document, built at parse time: the artifact the serve path's
+	// label, mask, unparse and XPath sweeps run over. Indexes are
 	// interchangeable with Doc's preorder numbering.
 	Arena *dom.Arena
 	// DTD is the parsed document type definition (internal plus

@@ -151,26 +151,14 @@ func (p *Path) selectArena(ctx stdcontext.Context, ar *dom.Arena, mask dom.Bitma
 }
 
 // SelectIndexes evaluates the expression with the document node as
-// context and returns the resulting node-set as dense preorder indexes
-// (Node.Order values) in document order, plus how it was evaluated:
-// over the document's arena (viaArena true) when one is built, over the
-// pointer tree otherwise. Both routes return the identical index set —
-// the routing is a pure representation choice, pinned by
-// FuzzArenaXPathParity.
+// context over the document's arena (doc.ReadArena) and returns the
+// resulting node-set as dense preorder indexes (Node.Order values) in
+// document order. viaArena is always true: it predates the removal of
+// the pointer-tree route and stays for callers that report it.
+// FuzzArenaXPathParity pins the answer to the tree evaluator's.
 func (p *Path) SelectIndexes(doc *dom.Document) (idx []int32, viaArena bool, err error) {
-	if ar := doc.ArenaIfBuilt(); ar != nil {
-		idx, err = p.selectArena(stdcontext.Background(), ar, nil)
-		return idx, true, err
-	}
-	nodes, err := p.SelectDoc(doc)
-	if err != nil {
-		return nil, false, err
-	}
-	idx = make([]int32, len(nodes))
-	for i, n := range nodes {
-		idx[i] = int32(n.Order)
-	}
-	return idx, false, nil
+	idx, err = p.selectArena(stdcontext.Background(), doc.ReadArena(), nil)
+	return idx, true, err
 }
 
 // arenaEval is the state one arena evaluation shares across its

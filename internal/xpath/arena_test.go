@@ -19,7 +19,7 @@ func parityDoc(t *testing.T, src string) *dom.Document {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if res.Doc.ArenaIfBuilt() == nil {
+	if res.Arena == nil || res.Doc.ReadArena() != res.Arena {
 		t.Fatal("parser built no arena")
 	}
 	return res.Doc
@@ -154,21 +154,24 @@ func TestSelectIndexesFallback(t *testing.T) {
 	}
 }
 
-// TestSelectIndexesWithoutArena: a document that carries no arena (e.g.
-// a clone) must take the tree route.
+// TestSelectIndexesWithoutArena: a document that carries no arena (a
+// clone) is evaluated over an uncached arena and selects what the tree
+// evaluator selects.
 func TestSelectIndexesWithoutArena(t *testing.T) {
-	doc := parityDoc(t, arenaTestDoc)
-	doc.DropArena()
+	doc := parityDoc(t, arenaTestDoc).Clone()
 	p := MustCompile(`//project`)
 	got, viaArena, err := p.SelectIndexes(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaArena {
-		t.Fatal("SelectIndexes claims the arena route on an arena-less document")
+	if !viaArena {
+		t.Fatal("SelectIndexes reports a route other than the arena")
 	}
 	if want := treeOrders(t, p, doc); !sameIndexSet(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
+	}
+	if doc.ReadArena() == doc.ReadArena() {
+		t.Fatal("evaluation cached an arena on the clone")
 	}
 }
 

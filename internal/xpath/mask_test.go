@@ -30,7 +30,7 @@ func upwardClosedMask(ar *dom.Arena, rng *rand.Rand) dom.Bitmask {
 // (CloneMasked), mapped back to original indexes.
 func TestSelectArenaMasked(t *testing.T) {
 	doc := parityDoc(t, arenaTestDoc)
-	ar := doc.ArenaIfBuilt()
+	ar := doc.ReadArena()
 	exprs := []string{
 		`//*`, `//node()`, `//@*`, `//text()`,
 		`//project[2]`, `//project[last()]/name`, `(//project)[1]`,
@@ -79,7 +79,7 @@ func TestSelectArenaBudget(t *testing.T) {
 	}
 	b.WriteString("</r>")
 	doc := parityDoc(t, b.String())
-	ar := doc.ArenaIfBuilt()
+	ar := doc.ReadArena()
 	for _, src := range []string{`//*[count(//*) > 0]`, `/r[//e/@a != //e/@a]`} {
 		card := &obs.CostCard{}
 		ctx := trace.WithRequest(stdcontext.Background(), "budget", card)
@@ -104,7 +104,7 @@ func TestSelectArenaCancelled(t *testing.T) {
 	card := &obs.CostCard{}
 	ctx, cancel := stdcontext.WithCancel(trace.WithRequest(stdcontext.Background(), "cancel", card))
 	cancel()
-	_, err := MustCompile(`//*`).SelectArena(ctx, doc.ArenaIfBuilt(), nil)
+	_, err := MustCompile(`//*`).SelectArena(ctx, doc.ReadArena(), nil)
 	if !errors.Is(err, stdcontext.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
