@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"xmlsec/internal/authz"
@@ -148,15 +146,5 @@ func expAuthIndex() error {
 	fmt.Println(" warm = node-set index pre-filled, steady-state labeling does zero XPath work;")
 	fmt.Println(" requests cycle distinct requesters, so warm hits are cross-requester reuse)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"xmlsec/internal/authz"
@@ -185,15 +183,5 @@ func expClasses() error {
 	fmt.Println(" sets at 48; the cache holds one entry per CLASS, not per requester, so")
 	fmt.Println(" cost and footprint stay flat while the population spans four decades)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"xmlsec/internal/authz"
@@ -159,15 +157,5 @@ func expDom() error {
 	fmt.Println(" serve-cold = same cycle with the index disabled, XPath per request;")
 	fmt.Println(" unparse = serialization alone)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

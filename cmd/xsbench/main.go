@@ -31,9 +31,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -42,6 +46,7 @@ import (
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
 	"xmlsec/internal/labexample"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/server"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/workload"
@@ -364,10 +369,7 @@ func expPipeline() error {
 			return err
 		}
 		pol := eng.PolicyFor(req.URI)
-		prune := measure(func() {
-			work := res.Doc.Clone()
-			core.PruneDoc(work, lb, pol)
-		})
+		prune := measure(func() { core.Visibility(res.Doc, lb, pol) })
 		view, err := eng.ComputeView(req, res.Doc)
 		if err != nil {
 			return err
@@ -394,7 +396,7 @@ func expPipeline() error {
 		})
 		fmt.Printf("%-18s %-10s %-10s %-10s %-10s %-10s\n", c.name, parse, label, prune, unparse, total)
 	}
-	fmt.Println("(prune includes the per-request tree clone; total = full on-line cycle)")
+	fmt.Println("(prune = the visibility mask ComputeView builds; total = full on-line cycle)")
 	return nil
 }
 
@@ -561,8 +563,10 @@ func expCache() error {
 
 // expStages — the observability subsystem: drive the full processor in
 // fully on-line mode (parse-per-request + view validation, so every
-// cycle stage runs) and print the per-stage timing breakdown from the
-// site's metric registry — the same histograms GET /metrics exposes.
+// read-cycle stage runs) through the site's HTTP handler and print the
+// per-stage timing breakdown from the site's metric registry — the
+// histograms GET /metrics exposes, fed from each request's cost card at
+// completion exactly as in the daemon.
 func expStages() error {
 	site, err := mkLabSite()
 	if err != nil {
@@ -570,18 +574,35 @@ func expStages() error {
 	}
 	site.ParsePerRequest = true
 	site.ValidateViews = true
-	requesters := []subjects.Requester{
-		labexample.Tom,
-		{User: "Sam", IP: "130.89.56.8", Host: "adminhost.lab.com"},
-		{User: "anonymous", IP: "200.1.2.3", Host: "outside.example.com"},
+	clients := []struct{ user, ip, host string }{
+		{labexample.Tom.User, labexample.Tom.IP, labexample.Tom.Host},
+		{"Sam", "130.89.56.8", "adminhost.lab.com"},
+		{"", "200.1.2.3", "outside.example.com"}, // anonymous
 	}
+	for _, c := range clients {
+		if c.user != "" {
+			if err := site.Users.Set(c.user, "pw"); err != nil {
+				return err
+			}
+		}
+		site.Resolver.(*server.StaticResolver).Add(c.ip, c.host)
+	}
+	h := site.Handler()
 	n := 300
 	if quick {
 		n = 60
 	}
 	for i := 0; i < n; i++ {
-		if _, err := site.Process(requesters[i%len(requesters)], labexample.DocURI); err != nil {
-			return err
+		c := clients[i%len(clients)]
+		req := httptest.NewRequest(http.MethodGet, "/docs/"+labexample.DocURI, nil)
+		req.RemoteAddr = c.ip + ":40000"
+		if c.user != "" {
+			req.SetBasicAuth(c.user, "pw")
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			return fmt.Errorf("GET as %q: HTTP %d: %s", c.user, w.Code, w.Body.String())
 		}
 	}
 	snap := site.Metrics().Snapshot()
@@ -589,14 +610,14 @@ func expStages() error {
 	if stage == nil {
 		return fmt.Errorf("stage histograms missing from the registry")
 	}
-	fmt.Printf("%d fully on-line cycles over %s; per-stage latency from the metric registry:\n\n",
+	fmt.Printf("%d fully on-line GETs of %s; per-stage latency from the metric registry:\n\n",
 		n, labexample.DocURI)
 	fmt.Printf("%-10s %-8s %-12s %-12s %-12s %-12s\n", "stage", "count", "total", "mean", "p50", "p95")
 	var cycle time.Duration
-	for _, st := range []string{"parse", "label", "prune", "validate", "unparse"} {
-		s := stage.Find("stage", st)
-		if s == nil || s.Histogram == nil {
-			continue
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		s := stage.Find("stage", st.String())
+		if s == nil || s.Histogram == nil || s.Histogram.Count == 0 {
+			continue // a write-path stage
 		}
 		h := s.Histogram
 		mean := time.Duration(h.Mean() * float64(time.Second))
@@ -610,6 +631,37 @@ func expStages() error {
 	fmt.Printf("\nsum of stage means: %s per request (quantiles are bucket-interpolated;\n", cycle.Round(time.Microsecond))
 	fmt.Println(" the same histograms back the daemon's GET /metrics and /statz endpoints)")
 	return nil
+}
+
+// allocsPerOp counts fn's heap allocations and bytes per call over a
+// fixed loop: allocations are deterministic per code path, so one
+// counted loop suffices where timings need interleaved batches.
+func allocsPerOp(fn func() error) (bytesOp, allocs int64, err error) {
+	const ops = 512
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops && err == nil; i++ {
+		err = fn()
+	}
+	runtime.ReadMemStats(&after)
+	return int64((after.TotalAlloc - before.TotalAlloc) / ops), int64((after.Mallocs - before.Mallocs) / ops), err
+}
+
+// writeJSON writes an experiment's machine-readable results to the
+// -json file, when one was given.
+func writeJSON(results any) error {
+	if jsonOut == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(results, "", "  ")
+	if err == nil {
+		err = os.WriteFile(jsonOut, append(data, '\n'), 0o644)
+	}
+	if err == nil {
+		fmt.Printf("wrote %s\n", jsonOut)
+	}
+	return err
 }
 
 func indentBlock(s, prefix string) string {

@@ -94,3 +94,24 @@ func TestExpCache(t *testing.T) {
 		t.Errorf("cache output:\n%s", out)
 	}
 }
+
+func TestExpStages(t *testing.T) {
+	out := runExp(t, expStages)
+	for _, stage := range []string{"parse", "label", "prune", "validate", "unparse"} {
+		if !strings.Contains(out, "\n"+stage+" ") {
+			t.Errorf("stages output missing %s:\n%s", stage, out)
+		}
+	}
+	if !strings.Contains(out, "60 fully on-line GETs") {
+		t.Errorf("stages output:\n%s", out)
+	}
+}
+
+func TestExpPipeline(t *testing.T) {
+	out := runExp(t, expPipeline)
+	for _, doc := range []string{"CSlab", "synthetic-"} {
+		if !strings.Contains(out, doc) {
+			t.Errorf("pipeline output missing %s:\n%s", doc, out)
+		}
+	}
+}

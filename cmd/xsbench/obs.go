@@ -2,10 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"xmlsec/internal/labexample"
@@ -19,11 +18,12 @@ import (
 // path (the card comes from a pool and rides in the same context value
 // the request ID already occupied) and ≤2% added latency. Both
 // scenarios that matter are measured: the fully on-line cycle (every
-// stage runs, so every counter in the card is exercised) and the
-// cached serve path (the microsecond-scale hot path where a fixed
-// overhead would weigh the most). The baseline is what the seed
-// middleware did per request — thread a request ID through the
-// context — so the measured delta is exactly what this PR added.
+// read stage runs, so every counter and stage timer in the card is
+// exercised) and the cached serve path (the microsecond-scale hot path
+// where a fixed overhead would weigh the most). The baseline is what
+// the seed middleware did per request — thread a request ID through
+// the context — so the measured delta is exactly what cost accounting
+// adds.
 
 // obsBenchResult is one measured scenario+mode, and the record format
 // of BENCH_obs.json.
@@ -33,7 +33,7 @@ type obsBenchResult struct {
 	NsPerOp     float64 `json:"ns_op"`
 	BytesOp     int64   `json:"bytes_op"`
 	AllocsOp    int64   `json:"allocs_op"`
-	OverheadPct float64 `json:"overhead_pct"` // vs the scenario's no-card row
+	OverheadPct float64 `json:"overhead_pct"` // median paired-batch delta vs the scenario's no-card row
 }
 
 func expObs() error {
@@ -41,7 +41,7 @@ func expObs() error {
 		scenario string
 		card     bool
 		site     *server.Site
-		minBatch time.Duration
+		batches  []float64 // every batch's duration, in round order
 	}
 	mk := func(scenario string, card bool) (*prepared, error) {
 		site, err := mkLabSite()
@@ -71,14 +71,18 @@ func expObs() error {
 	// request is the middleware's per-request work, minus the HTTP
 	// stack: the no-card mode threads the request ID the way the seed
 	// did; the card mode additionally checks a card out of the pool,
-	// folds it into the same context value, and returns it — the full
-	// accounting cycle a production request pays.
+	// folds it into the same context value, feeds the stage histograms
+	// from it at completion, and returns it — the full accounting cycle
+	// a production request pays, stage timing included.
+	stages := obs.NewStageHistograms(obs.NewRegistry().NewHistogramVec(
+		"stage_seconds", "Stage time.", obs.DefStageBuckets, "stage"))
 	request := func(p *prepared) error {
 		ctx := context.Background()
 		if p.card {
 			c := obs.GetCostCard()
 			ctx = trace.WithRequest(ctx, "bench", c)
 			_, err := p.site.ProcessContext(ctx, labexample.Tom, labexample.DocURI)
+			stages.Observe(c)
 			obs.PutCostCard(c)
 			return err
 		}
@@ -87,48 +91,52 @@ func expObs() error {
 		return err
 	}
 
-	// As in the trace experiment: the effect is smaller than shared-host
-	// load drift over a one-second run, so the modes run in tightly
-	// interleaved fixed batches and the fastest batch per mode is kept.
-	const batchOps = 100
-	batches := 80
+	// The effect is smaller than shared-host load drift, so the modes
+	// run in tightly interleaved fixed batches, in alternating order
+	// from round to round, each after a collection and a few untimed
+	// requests (no collection lands in a timed batch). ns/op is the
+	// fastest batch; the overhead is the median over rounds of each
+	// card batch against the no-card batch next to it.
+	const batchOps, warmOps = 100, 10
+	rounds := 200
 	if quick {
-		batches = 20
+		rounds = 20
 	}
 	for _, p := range runs { // warm caches, indexes, and the card pool
 		if err := request(p); err != nil {
 			return err
 		}
 	}
-	for b := 0; b < batches; b++ {
-		for _, p := range runs {
+	for round := 0; round < rounds; round++ {
+		for k := range runs {
+			if round%2 == 1 {
+				k = len(runs) - 1 - k
+			}
+			p := runs[k]
+			runtime.GC()
+			for i := 0; i < warmOps; i++ {
+				if err := request(p); err != nil {
+					return err
+				}
+			}
 			start := time.Now()
 			for i := 0; i < batchOps; i++ {
 				if err := request(p); err != nil {
 					return err
 				}
 			}
-			if el := time.Since(start); p.minBatch == 0 || el < p.minBatch {
-				p.minBatch = el
-			}
+			p.batches = append(p.batches, float64(time.Since(start)))
 		}
 	}
 
 	var results []obsBenchResult
-	base := map[string]float64{}
+	base := map[string]*prepared{}
 	fmt.Printf("%-10s %-9s %-12s %-12s %-12s %-10s\n", "scenario", "mode", "ns/op", "bytes/op", "allocs/op", "overhead")
 	for _, p := range runs {
-		const allocOps = 512
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < allocOps; i++ {
-			if err := request(p); err != nil {
-				return err
-			}
+		bytesOp, allocsOp, err := allocsPerOp(func() error { return request(p) })
+		if err != nil {
+			return err
 		}
-		runtime.ReadMemStats(&after)
-
 		mode := "no-card"
 		if p.card {
 			mode = "card"
@@ -136,15 +144,20 @@ func expObs() error {
 		r := obsBenchResult{
 			Scenario: p.scenario,
 			Mode:     mode,
-			NsPerOp:  float64(p.minBatch.Nanoseconds()) / batchOps,
-			BytesOp:  int64((after.TotalAlloc - before.TotalAlloc) / allocOps),
-			AllocsOp: int64((after.Mallocs - before.Mallocs) / allocOps),
+			NsPerOp:  slices.Min(p.batches) / batchOps,
+			BytesOp:  bytesOp,
+			AllocsOp: allocsOp,
 		}
 		overhead := "-"
 		if !p.card {
-			base[p.scenario] = r.NsPerOp
-		} else if b := base[p.scenario]; b > 0 {
-			r.OverheadPct = (r.NsPerOp - b) / b * 100
+			base[p.scenario] = p
+		} else if b := base[p.scenario]; b != nil {
+			ratios := make([]float64, len(p.batches))
+			for i := range ratios {
+				ratios[i] = p.batches[i] / b.batches[i]
+			}
+			slices.Sort(ratios)
+			r.OverheadPct = (ratios[len(ratios)/2] - 1) * 100
 			overhead = fmt.Sprintf("%+.2f%%", r.OverheadPct)
 		}
 		results = append(results, r)
@@ -153,17 +166,8 @@ func expObs() error {
 	}
 	fmt.Println("(no-card = the seed serve path, request ID threaded through the context;")
 	fmt.Println(" card = pooled cost card folded into the same context value, every counter")
-	fmt.Println(" live; online = fully on-line cycle, cached = class-keyed view-cache hit)")
+	fmt.Println(" and stage timer live, stage histograms fed at completion; online = fully")
+	fmt.Println(" on-line cycle, cached = class-keyed view-cache hit)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

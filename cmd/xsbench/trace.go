@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"xmlsec/internal/labexample"
@@ -130,25 +127,16 @@ func expTrace() error {
 	var nsBase float64
 	fmt.Printf("%-14s %-14s %-14s %-12s %-10s\n", "mode", "ns/op", "bytes/op", "allocs/op", "overhead")
 	for _, p := range runs {
-		// Allocation profile, separately: allocations are deterministic
-		// per mode, so a single counted loop suffices.
-		const allocOps = 512
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < allocOps; i++ {
-			if err := request(p); err != nil {
-				return err
-			}
+		bytesOp, allocsOp, err := allocsPerOp(func() error { return request(p) })
+		if err != nil {
+			return err
 		}
-		runtime.ReadMemStats(&after)
-
 		r := traceBenchResult{
 			Mode:        p.name,
 			SampleEvery: p.sampleEvery,
 			NsPerOp:     float64(p.minBatch.Nanoseconds()) / batchOps,
-			BytesOp:     int64((after.TotalAlloc - before.TotalAlloc) / allocOps),
-			AllocsOp:    int64((after.Mallocs - before.Mallocs) / allocOps),
+			BytesOp:     bytesOp,
+			AllocsOp:    allocsOp,
 		}
 		overhead := "-"
 		if p.sampleEvery == 0 {
@@ -165,15 +153,5 @@ func expTrace() error {
 	fmt.Println(" every-request = SampleEvery 1, the debugging mode; overhead is added")
 	fmt.Println(" latency relative to the untraced baseline, fully on-line cycle)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

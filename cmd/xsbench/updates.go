@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -141,15 +140,5 @@ func expUpdates() error {
 	fmt.Println(" run the full secure write path durably with fsync=never. The script path")
 	fmt.Println(" journals a delta record, the PUT path the entire document.)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -132,15 +131,5 @@ func expWAL() error {
 	fmt.Println(" WAL append, commit; 'always' pays one fsync per op, 'interval' amortizes")
 	fmt.Println(" them on a 50ms ticker, 'never' leaves flushing to the OS)")
 
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
+	return writeJSON(results)
 }

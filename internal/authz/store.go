@@ -72,42 +72,6 @@ func (s *Store) Add(level Level, a *Authorization) error {
 	return nil
 }
 
-// HasTimeBounded reports whether any stored authorization carries a
-// validity window, making view computation time-dependent (caches must
-// then bypass).
-func (s *Store) HasTimeBounded() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.timeBounded
-}
-
-// HasTimeBoundedFor reports whether any authorization applicable to the
-// given document — instance-level on docURI or schema-level on dtdURI —
-// carries a validity window. This is the per-document refinement of
-// HasTimeBounded: a validity window on one document's authorizations
-// makes only that document's views time-dependent, so caches for other
-// documents stay effective.
-func (s *Store) HasTimeBoundedFor(docURI, dtdURI string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.timeBounded {
-		return false
-	}
-	for _, a := range s.instance[docURI] {
-		if !a.Validity.IsZero() {
-			return true
-		}
-	}
-	if dtdURI != "" {
-		for _, a := range s.schema[dtdURI] {
-			if !a.Validity.IsZero() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Generation returns a counter that changes whenever the stored
 // authorization set changes; caches key their entries on it so policy
 // changes invalidate derived views.
@@ -119,10 +83,12 @@ func (s *Store) Generation() uint64 {
 
 // SnapshotFor returns, under one lock acquisition, the store
 // generation together with whether any authorization applicable to the
-// given document carries a validity window (see HasTimeBoundedFor).
-// Cache keying must read both atomically: reading them in two calls
-// lets a concurrent policy change slip between, filing a view computed
-// under one generation beneath another's key.
+// given document — instance-level on docURI or schema-level on dtdURI —
+// carries a validity window, which makes that document's views
+// time-dependent (caches bypass them; other documents' views stay
+// cacheable). Cache keying must read both atomically: reading them in
+// two calls lets a concurrent policy change slip between, filing a
+// view computed under one generation beneath another's key.
 func (s *Store) SnapshotFor(docURI, dtdURI string) (gen uint64, timeBounded bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -10,6 +10,7 @@ import (
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/dom"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 )
@@ -28,34 +29,10 @@ type Engine struct {
 	mu       sync.RWMutex
 	policies map[string]Policy // per-document URI
 	polGen   uint64            // bumped by SetPolicy/ClearPolicies
-	stages   StageObserver
 	// authIndex caches per-document authorization node-sets so
 	// steady-state labeling does zero XPath work; nil disables caching
 	// (the differential-testing oracle). NewEngine installs one.
 	authIndex *AuthIndex
-}
-
-// StageObserver receives the duration of each named stage of the
-// processor's execution cycle. ComputeView reports "label" and "prune";
-// callers running the surrounding stages (parse, validate, unparse)
-// report those themselves. Implementations must be safe for concurrent
-// use.
-type StageObserver interface {
-	ObserveStage(stage string, d time.Duration)
-}
-
-// SetStageObserver installs (or, with nil, removes) the engine's stage
-// observer. Safe to call concurrently with ComputeView.
-func (e *Engine) SetStageObserver(o StageObserver) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stages = o
-}
-
-func (e *Engine) stageObserver() StageObserver {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stages
 }
 
 // NewEngine builds an engine over a directory and a store with the
@@ -291,39 +268,26 @@ func (e *Engine) ComputeView(req Request, doc *dom.Document) (*View, error) {
 	return e.ComputeViewCtx(context.Background(), req, doc)
 }
 
-// ComputeViewCtx is ComputeView with per-request tracing: when ctx
-// carries a trace (see internal/trace), the labeling and
-// transformation steps are recorded as "label" and "prune" spans, with
-// node-set-index effectiveness and label counts annotated on them. An
-// untraced context adds no allocation and no lock to the cycle.
+// ComputeViewCtx is ComputeView under a request context: labeling and
+// transformation are timed as the "label" and "prune" stages (see
+// trace.StartStage), the label span annotated with node-set-index
+// effectiveness and label counts when ctx is traced.
 func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Document) (*View, error) {
-	obs := e.stageObserver()
-	lctx, sp := trace.StartSpan(ctx, "label")
-	start := time.Now()
+	lctx, tm := trace.StartStage(ctx, obs.StageLabel)
 	lb, stats, err := e.labelCtx(lctx, req, doc)
 	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		obs.ObserveStage("label", time.Since(start))
-	}
-	if sp.Traced() {
-		sp.Lazyf("%d nodes: %d+, %d-, %de (auths: %d instance, %d schema)",
+	tm.End()
+	if tm.Traced() {
+		tm.Lazyf("%d nodes: %d+, %d-, %de (auths: %d instance, %d schema)",
 			stats.Nodes, stats.Plus, stats.Minus, stats.Eps, stats.AuthsInstance, stats.AuthsSchema)
-		sp.End()
 	}
 	pol := e.PolicyFor(req.URI)
-	sp = trace.StartChild(ctx, "prune")
-	start = time.Now()
+	tm = trace.StartStageChild(ctx, obs.StagePrune)
 	mask, kept := Visibility(doc, lb, pol)
+	tm.End()
 	stats.Kept = kept
-	if obs != nil {
-		obs.ObserveStage("prune", time.Since(start))
-	}
-	if sp.Traced() {
-		sp.Lazyf("kept %d of %d nodes", kept, stats.Nodes)
-		sp.End()
-	}
 	if card := trace.CostFromContext(ctx); card != nil {
 		card.NodesSwept += int64(stats.Nodes)
 		card.NodesKept += int64(kept)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -33,20 +34,20 @@ func (e *Engine) Explain(req Request, doc *dom.Document) ([]Explanation, error) 
 	if err != nil {
 		return nil, err
 	}
-	direct := make(map[*dom.Node][]*authz.Authorization)
+	direct := make(map[int][]*authz.Authorization)
 	for _, a := range append(append([]*authz.Authorization{}, axml...), adtd...) {
-		nodes, err := a.SelectNodes(doc)
+		idx, err := a.SelectIndexesCtx(context.Background(), doc)
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range nodes {
-			direct[n] = append(direct[n], a)
+		for _, i := range idx {
+			direct[int(i)] = append(direct[int(i)], a)
 		}
 	}
 	var out []Explanation
 	doc.Walk(func(n *dom.Node) bool {
 		if n.Type == dom.ElementNode || n.Type == dom.AttributeNode {
-			out = append(out, Explanation{Node: n, Label: lb.Of(n), Direct: direct[n]})
+			out = append(out, Explanation{Node: n, Label: lb.Of(n), Direct: direct[n.Index()]})
 		}
 		return true
 	})

@@ -204,3 +204,56 @@ func TestConcurrent(t *testing.T) {
 		t.Errorf("vec counter = %d, want 1600", cv.With("a").Value())
 	}
 }
+
+// TestCardStages pins the card's stage record: stages_ns names only
+// the stages a request ran (none: an empty object), the object form
+// round-trips, and the histogram feed observes each stage the card ran
+// exactly once.
+func TestCardStages(t *testing.T) {
+	c := GetCostCard()
+	defer PutCostCard(c)
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"stages_ns":{}`) {
+		t.Errorf("card without stages must carry an empty stages_ns: %s", b)
+	}
+	c.Stages[StageLabel] = 1500
+	c.Stages[StageWALAppend] = 7
+	b, err = json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"stages_ns":{"label":1500,"wal.append":7}`) {
+		t.Errorf("stages_ns must list exactly the nonzero stages by name: %s", b)
+	}
+	var back CostCard
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != *c {
+		t.Errorf("round trip: got %+v, want %+v", back, *c)
+	}
+
+	reg := NewRegistry()
+	h := NewStageHistograms(reg.NewHistogramVec("stage_seconds", "Stage time.", DefStageBuckets, "stage"))
+	h.Observe(c)
+	m := reg.Snapshot().Metric("stage_seconds")
+	for st := Stage(0); st < NumStages; st++ {
+		s := m.Find("stage", st.String())
+		if s == nil || s.Histogram == nil {
+			t.Fatalf("stage %s not materialized", st)
+		}
+		want := uint64(0)
+		if c.Stages[st] != 0 {
+			want = 1
+		}
+		if s.Histogram.Count != want {
+			t.Errorf("stage %s: %d observations, want %d", st, s.Histogram.Count, want)
+		}
+	}
+	if got := m.Find("stage", "label").Histogram.Sum; math.Abs(got-1.5e-6) > 1e-12 {
+		t.Errorf("label observed %g s, want 1.5e-6", got)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"xmlsec/internal/core"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
@@ -120,9 +121,9 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 	if report != nil {
 		return &ScriptError{Report: report}
 	}
-	sp = trace.StartChild(ctx, "update.apply")
+	tm := trace.StartStageChild(ctx, obs.StageUpdateApply)
 	out, copied, err := update.Apply(sd.Doc, script, res.Targets)
-	sp.End()
+	tm.End()
 	if err != nil {
 		var ce *update.ConflictError
 		if errors.As(err, &ce) {

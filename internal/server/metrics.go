@@ -12,17 +12,11 @@ import (
 	"xmlsec/internal/trace"
 )
 
-// stages of the paper's execution cycle, in order. "label" and "prune"
-// are reported by the engine; "parse" (under ParsePerRequest),
-// "validate" (under ValidateViews), and "unparse" by Site.Process.
-var cycleStages = []string{"parse", "label", "prune", "validate", "unparse"}
-
 // siteMetrics holds the site's registry and the families the hot path
 // writes to directly; everything read-on-scrape (cache stats, store
 // generations, audit volume) registers as a Func metric instead.
 type siteMetrics struct {
 	reg          *obs.Registry
-	stage        *obs.HistogramVec // stage
 	httpReqs     *obs.CounterVec   // route, status
 	httpDur      *obs.HistogramVec // route
 	processed    *obs.CounterVec   // outcome
@@ -33,6 +27,8 @@ type siteMetrics struct {
 	updateOps    *obs.Counter      // operations committed
 	updateCopied *obs.Counter      // copy-on-write nodes
 	updateApply  *obs.Histogram    // whole update-apply latency
+
+	stages *obs.StageHistograms // fed from each request's cost card at completion
 }
 
 // Metrics returns the site's metric registry, initializing it on first
@@ -47,12 +43,9 @@ func (s *Site) initMetrics() {
 	s.metricsOnce.Do(func() {
 		reg := obs.NewRegistry()
 		m := &siteMetrics{reg: reg}
-		m.stage = reg.NewHistogramVec("xmlsec_stage_duration_seconds",
-			"Latency of each stage of the security processor's execution cycle (parse, label, prune, validate, unparse).",
-			obs.DefStageBuckets, "stage")
-		for _, st := range cycleStages {
-			m.stage.With(st) // materialize all stages so /metrics always lists them
-		}
+		m.stages = obs.NewStageHistograms(reg.NewHistogramVec("xmlsec_stage_duration_seconds",
+			"Time each request spent in each stage of its cycle (parse, label, prune, validate, unparse, merge, update.apply, wal.append).",
+			obs.DefStageBuckets, "stage"))
 		m.httpReqs = reg.NewCounterVec("xmlsec_http_requests_total",
 			"HTTP requests served, by route and status code.", "route", "status")
 		m.httpDur = reg.NewHistogramVec("xmlsec_http_request_duration_seconds",
@@ -231,7 +224,6 @@ func (s *Site) initMetrics() {
 			})
 		s.metrics = m
 		if s.Engine != nil {
-			s.Engine.SetStageObserver(stageRecorder{m.stage})
 			if idx := s.Engine.AuthIndex(); idx != nil {
 				idx.SetFillObserver(func(d time.Duration) {
 					m.authFill.Observe(d.Seconds())
@@ -239,19 +231,6 @@ func (s *Site) initMetrics() {
 			}
 		}
 	})
-}
-
-// stageRecorder adapts the stage histogram family to core.StageObserver.
-type stageRecorder struct{ h *obs.HistogramVec }
-
-func (r stageRecorder) ObserveStage(stage string, d time.Duration) {
-	r.h.With(stage).Observe(d.Seconds())
-}
-
-// observeStage records one Site-level stage duration (the engine
-// reports its own stages through the same family).
-func (s *Site) observeStage(stage string, start time.Time) {
-	s.metrics.stage.With(stage).ObserveSince(start)
 }
 
 // handleMetrics serves GET /metrics: the registry in Prometheus text
@@ -278,10 +257,12 @@ func (s *Site) handleStatz(w http.ResponseWriter, _ *http.Request) {
 // X-Request-ID, starts a trace for sampled requests (the trace ID IS
 // the request ID, so audit lines, response headers, and /debug/traces
 // all join on one value), attaches a pooled cost card that the hot
-// path itemizes its work onto, and records request count, status, and
-// latency per route. When the request finishes, the card is copied
-// into the trace snapshot and offered to the slow-request log, then
-// returned to the pool — the card itself never outlives the request.
+// path itemizes its work and stage times onto, and records request
+// count, status, and latency per route. When the request finishes,
+// each stage it ran is observed once in xmlsec_stage_duration_seconds,
+// and the card is copied unchanged into the trace snapshot and offered
+// to the slow-request log, then returned to the pool — the card itself
+// never outlives the request.
 func (s *Site) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -311,6 +292,7 @@ func (s *Site) instrument(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		dur := time.Since(start)
+		s.metrics.stages.Observe(card)
 		if tr != nil {
 			tr.SetCost(*card)
 			tr.Root().Lazyf("status %d", sw.status)

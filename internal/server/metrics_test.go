@@ -45,6 +45,9 @@ func TestMetricsExposition(t *testing.T) {
 		`xmlsec_stage_duration_seconds_bucket{stage="prune"`,
 		`xmlsec_stage_duration_seconds_bucket{stage="unparse"`,
 		`xmlsec_stage_duration_seconds_bucket{stage="validate"`,
+		`xmlsec_stage_duration_seconds_bucket{stage="merge"`,
+		`xmlsec_stage_duration_seconds_bucket{stage="update.apply"`,
+		`xmlsec_stage_duration_seconds_bucket{stage="wal.append"`,
 		"# TYPE xmlsec_http_requests_total counter",
 		`xmlsec_http_requests_total{route="/docs/",status="200"} 3`,
 		`xmlsec_http_requests_total{route="/docs/",status="404"} 1`,
@@ -63,17 +66,18 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The stage histograms carry real observations: 4 Process calls hit
-	// label+unparse (the cached repeats skip the cycle entirely).
+	// The stage histograms are fed from the requests' cost cards: only
+	// the first read runs the cycle (the repeats and the query hit the
+	// view cache), and parse-per-request is off.
 	snap := site.Metrics().Snapshot()
 	stage := snap.Metric("xmlsec_stage_duration_seconds")
 	if stage == nil {
 		t.Fatal("stage metric missing from snapshot")
 	}
-	for _, st := range []string{"label", "prune", "unparse", "validate"} {
+	for st, want := range map[string]uint64{"label": 1, "prune": 1, "unparse": 1, "validate": 1, "parse": 0} {
 		series := stage.Find("stage", st)
-		if series == nil || series.Histogram == nil || series.Histogram.Count == 0 {
-			t.Errorf("stage %q has no observations", st)
+		if series == nil || series.Histogram == nil || series.Histogram.Count != want {
+			t.Errorf("stage %q observations = %+v, want %d", st, series, want)
 		}
 	}
 	// Cached repeats surface as hits.

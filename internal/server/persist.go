@@ -13,6 +13,7 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
 	"xmlsec/internal/wal"
@@ -210,9 +211,9 @@ var errWALAppend = errors.New("write-ahead log append failed")
 // logMutation makes a mutation durable. Callers hold persistMu and
 // commit to the in-memory stores only after this returns nil, so a
 // record in the log is always a mutation that validated, and the log
-// order is the commit order. A traced context records the append (the
-// synchronous fsync under SyncAlways is the write path's durability
-// cost) as a "wal.append" span.
+// order is the commit order. The append is timed as the "wal.append"
+// stage: under SyncAlways it blocks on fsync, so the stage time is the
+// request's durability wait.
 func (s *Site) logMutation(ctx context.Context, m mutation) error {
 	l := s.wal.Load()
 	if l == nil {
@@ -222,20 +223,12 @@ func (s *Site) logMutation(ctx context.Context, m mutation) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding %s mutation: %w", m.Op, err)
 	}
-	card := trace.CostFromContext(ctx)
-	sp := trace.StartChild(ctx, "wal.append")
-	start := time.Time{}
-	if card != nil {
-		start = time.Now()
-	}
+	tm := trace.StartStageChild(ctx, obs.StageWALAppend)
 	_, err = l.Append(b)
-	if card != nil {
-		// The append blocks on fsync under SyncAlways, so the elapsed
-		// time is this request's durability wait.
+	tm.End()
+	if card := trace.CostFromContext(ctx); card != nil {
 		card.WALAppends++
-		card.WALFsyncWaitNs += int64(time.Since(start))
 	}
-	sp.End()
 	if err != nil {
 		return fmt.Errorf("server: %w: %v", errWALAppend, err)
 	}

@@ -7,12 +7,12 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/wal"
@@ -149,7 +149,7 @@ func NewSite() *Site {
 		Resolver:  NewStaticResolver(),
 		Engine:    core.NewEngine(dir, auths),
 	}
-	s.initMetrics() // wire the engine's stage observer before serving
+	s.initMetrics() // wire the index fill observer before serving
 	return s
 }
 
@@ -205,12 +205,11 @@ func (s *Site) Process(rq subjects.Requester, uri string) (*ProcessResult, error
 	return s.ProcessContext(context.Background(), rq, uri)
 }
 
-// ProcessContext is Process under a request context. When ctx carries
-// a trace (the HTTP middleware starts one per sampled request), every
-// cycle stage is recorded as a span, so the trace answers where this
-// particular request's time went; the trace's request ID is written
-// into the audit record either way. An untraced context adds no
-// allocation to the cycle.
+// ProcessContext is Process under a request context. Every cycle stage
+// is timed onto the context's cost card (the HTTP middleware attaches
+// one per request) and, when ctx carries a trace, recorded as a span;
+// the request ID is written into the audit record either way. A
+// context with neither adds no allocation to the cycle.
 func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (res *ProcessResult, err error) {
 	s.initMetrics()
 	defer func() {
@@ -336,8 +335,7 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 	}
 	doc := sd.Doc
 	if s.ParsePerRequest {
-		sp := trace.StartChild(ctx, "parse")
-		start := time.Now()
+		tm := trace.StartStageChild(ctx, obs.StageParse)
 		res, err := xmlparse.Parse(sd.Source, xmlparse.Options{
 			Loader:        storeLoader{s.Docs},
 			ApplyDefaults: true,
@@ -345,8 +343,7 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		if err != nil {
 			return nil, fmt.Errorf("server: re-parsing %q: %w", uri, err)
 		}
-		s.observeStage("parse", start)
-		sp.End()
+		tm.End()
 		doc = res.Doc
 	}
 	req := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
@@ -358,8 +355,7 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		return nil, ErrNotFound
 	}
 	if s.ValidateViews && sd.DTDURI != "" {
-		sp := trace.StartChild(ctx, "validate")
-		start := time.Now()
+		tm := trace.StartStageChild(ctx, obs.StageValidate)
 		loose := s.Docs.Loosened(sd.DTDURI)
 		if loose == nil {
 			return nil, fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
@@ -367,11 +363,9 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		if errs := loose.Validate(view.Materialize(), dtd.ValidateOptions{IgnoreIDs: true}); errs != nil {
 			return nil, fmt.Errorf("server: view of %q violates the loosened DTD: %w", uri, errs)
 		}
-		s.observeStage("validate", start)
-		sp.End()
+		tm.End()
 	}
-	sp := trace.StartChild(ctx, "unparse")
-	start := time.Now()
+	tm := trace.StartStageChild(ctx, obs.StageUnparse)
 	// Unparse through the visibility mask into a pooled, size-hinted
 	// buffer: the shared document's arena is swept directly, emitting
 	// only mask-visible nodes, with no per-request tree to build or
@@ -387,13 +381,9 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 		dom.PutBuffer(b)
 		return nil, err
 	}
-	s.observeStage("unparse", start)
+	tm.End()
 	if card != nil {
 		card.BytesSerialized += int64(b.Len())
-	}
-	if sp.Traced() {
-		sp.Lazyf("%d bytes", b.Len())
-		sp.End()
 	}
 	xml := b.String()
 	dom.PutBuffer(b)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"xmlsec/internal/labexample"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 )
 
@@ -81,9 +82,13 @@ func TestTracePropagation(t *testing.T) {
 	if summary.Name != "GET /docs/" {
 		t.Errorf("trace name = %q", summary.Name)
 	}
-	for _, stage := range []string{"label", "prune", "validate", "unparse"} {
-		if summary.Stages[stage] <= 0 {
-			t.Errorf("stage %q missing from per-trace stage timings: %v", stage, summary.Stages)
+	// The trace's stage table is the request's cost card.
+	if summary.Cost == nil {
+		t.Fatal("trace summary lacks the cost card")
+	}
+	for _, stage := range []obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageValidate, obs.StageUnparse} {
+		if summary.Cost.Stages[stage] <= 0 {
+			t.Errorf("stage %s missing from the card's stage timings: %v", stage, summary.Cost.Stages)
 		}
 	}
 	if summary.Spans != nil {

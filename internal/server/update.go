@@ -9,6 +9,7 @@ import (
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
+	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/xmlparse"
@@ -52,10 +53,10 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 	return s.UpdateContext(context.Background(), rq, uri, newSource)
 }
 
-// UpdateContext is Update under a request context; a traced context
-// records the write path's phases (read view, replacement parse, write
-// labeling, merge, validation) as spans, and the trace's request ID is
-// written into the audit record.
+// UpdateContext is Update under a request context: the write path's
+// stages (read view, parse, merge, validation, log append) are timed
+// onto the context's cost card and, when traced, recorded as spans;
+// the request ID is written into the audit record.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
 	defer func() { s.auditWrite(ctx, rq, uri, err) }()
 	sd := s.Docs.Doc(uri)
@@ -76,12 +77,12 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	}
 	// Parse the replacement before judging it (malformed input is a
 	// client error regardless of authority).
-	sp = trace.StartChild(ctx, "parse")
+	tm := trace.StartStageChild(ctx, obs.StageParse)
 	res, err := xmlparse.Parse(newSource, xmlparse.Options{
 		Loader:        storeLoader{s.Docs},
 		ApplyDefaults: true,
 	})
-	sp.End()
+	tm.End()
 	if err != nil {
 		return fmt.Errorf("server: update of %q: %w", uri, err)
 	}
@@ -104,9 +105,9 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	writable := func(n *dom.Node) bool {
 		return pol.Grants(lb.FinalOf(n))
 	}
-	sp = trace.StartChild(ctx, "merge")
+	tm = trace.StartStageChild(ctx, obs.StageMerge)
 	merged, err := core.MergeView(sd.Doc, readView, res.Doc, writable)
-	sp.End()
+	tm.End()
 	if err != nil {
 		var wde *core.WriteDeniedError
 		if errors.As(err, &wde) {
@@ -115,13 +116,13 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 		return err
 	}
 	if sd.DTDURI != "" {
-		sp = trace.StartChild(ctx, "validate")
+		tm = trace.StartStageChild(ctx, obs.StageValidate)
 		d := s.Docs.DTD(sd.DTDURI)
 		if d == nil {
 			return fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
 		}
 		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
-		sp.End()
+		tm.End()
 		if errs != nil {
 			return fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
 		}

@@ -15,6 +15,8 @@
 //     into audit records, so audit lines join to traces.
 //   - Span: one timed region (a cycle stage, an index fill, an XPath
 //     evaluation) with bounded, lazily-formatted annotations.
+//   - Timer: one cycle stage (obs.Stage), timed once — onto the
+//     request's cost card, and as a span when the request is traced.
 //   - Recorder: the sampling decision plus two bounded rings of
 //     completed traces — the last N requests, and an always-keep
 //     capture of requests at or above a slow threshold.
@@ -22,11 +24,12 @@
 // Traces travel by context.Context: the HTTP middleware starts the
 // root span and stores it with NewContext; every layer below calls
 //
-//	ctx, sp := trace.StartSpan(ctx, "label")
+//	ctx, sp := trace.StartSpan(ctx, "authindex.fill")
 //	defer sp.End()
 //
-// without knowing whether tracing is on. When the request is untraced
-// (no recorder, or not sampled) StartSpan returns the context unchanged
-// and a nil span, and every Span method is a nil-safe no-op — the
-// untraced hot path performs no allocation and takes no lock.
+// (or StartStage for a cycle stage) without knowing whether tracing is
+// on. When the request is untraced (no recorder, or not sampled)
+// StartSpan returns the context unchanged and a nil span, and every
+// Span method is a nil-safe no-op — the untraced hot path performs no
+// allocation and takes no lock.
 package trace

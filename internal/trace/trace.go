@@ -122,18 +122,6 @@ func (t *Trace) Root() *Span {
 	return t.spans[0]
 }
 
-// SetName renames the trace (the middleware starts the trace before
-// the route is known and renames it once it is).
-func (t *Trace) SetName(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.name = name
-	t.spans[0].name = name
-	t.mu.Unlock()
-}
-
 // Finish closes the root span, stamps the trace's total duration, and
 // hands the trace to its recorder's rings. Finish must be called once,
 // after all spans have ended; the trace is immutable afterwards.
@@ -154,10 +142,9 @@ func (t *Trace) Finish() {
 	t.rec.record(t)
 }
 
-// startSpan records a child of parent, returning nil (and counting the
-// drop) past the per-trace span bound.
-func (t *Trace) startSpan(name string, parent *Span) *Span {
-	now := time.Now()
+// startSpan records a child of parent started at now, returning nil
+// (and counting the drop) past the per-trace span bound.
+func (t *Trace) startSpan(name string, parent *Span, now time.Time) *Span {
 	t.mu.Lock()
 	if len(t.spans) >= maxSpans {
 		t.dropped++
@@ -176,7 +163,11 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.start)
+	s.endAfter(time.Since(s.start))
+}
+
+// endAfter closes the span with duration d.
+func (s *Span) endAfter(d time.Duration) {
 	s.tr.mu.Lock()
 	if !s.ended {
 		s.ended = true
@@ -258,7 +249,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	child := parent.tr.startSpan(name, parent)
+	child := parent.tr.startSpan(name, parent, time.Now())
 	if child == nil {
 		return ctx, nil
 	}
@@ -273,7 +264,62 @@ func StartChild(ctx context.Context, name string) *Span {
 	if parent == nil {
 		return nil
 	}
-	return parent.tr.startSpan(name, parent)
+	return parent.tr.startSpan(name, parent, time.Now())
+}
+
+// Timer times one stage of a request: End adds the elapsed time to the
+// request's cost card (obs.CostCard.Stages), and a traced request also
+// records the stage as a span, whose methods the Timer promotes. The
+// zero Timer is a no-op. A Timer allocates nothing and reads the clock
+// only when a card or a trace will record the reading.
+type Timer struct {
+	*Span
+	card  *obs.CostCard
+	stage obs.Stage
+	start time.Duration // since epoch
+}
+
+// epoch anchors Timer readings: time.Since(epoch) reads only the
+// monotonic clock, half the cost of time.Now.
+var epoch = time.Now()
+
+// StartStage starts timing stage st, returning a context that parents
+// spans nested in the stage under it — StartSpan's shape for stages.
+func StartStage(ctx context.Context, st obs.Stage) (context.Context, Timer) {
+	t := StartStageChild(ctx, st)
+	if t.Span != nil {
+		ctx = context.WithValue(ctx, spanKey{}, t.Span)
+	}
+	return ctx, t
+}
+
+// StartStageChild starts timing stage st without deriving a context —
+// StartChild's shape, for stages that parent no further spans.
+func StartStageChild(ctx context.Context, st obs.Stage) Timer {
+	card, parent := CostFromContext(ctx), SpanFromContext(ctx)
+	if card == nil && parent == nil {
+		return Timer{}
+	}
+	t := Timer{card: card, stage: st, start: time.Since(epoch)}
+	if parent != nil {
+		t.Span = parent.tr.startSpan(st.String(), parent, epoch.Add(t.start))
+	}
+	return t
+}
+
+// End adds the elapsed time (at least 1 ns, so a stage that ran is
+// never zero) to the card and ends the span with the same duration.
+func (t Timer) End() {
+	if t.card == nil && t.Span == nil {
+		return
+	}
+	d := time.Since(epoch) - t.start
+	if t.card != nil {
+		t.card.Stages[t.stage] += max(d.Nanoseconds(), 1)
+	}
+	if t.Span != nil {
+		t.Span.endAfter(d)
+	}
 }
 
 // WithRequestID returns ctx carrying the request identifier.
@@ -338,21 +384,18 @@ type Snapshot struct {
 	DurationNs int64     `json:"duration_ns"`
 	// Slow marks traces at or above the recorder's slow threshold.
 	Slow bool `json:"slow,omitempty"`
-	// Stages sums span durations by span name — the per-trace stage
-	// timing table ("where did this cycle's time go") without reading
-	// the span tree.
-	Stages map[string]int64 `json:"stages_ns,omitempty"`
 	// Spans is the full tree in start order; omitted in list views.
 	Spans []SpanSnapshot `json:"spans,omitempty"`
 	// DroppedSpans counts spans past the per-trace bound.
 	DroppedSpans int `json:"dropped_spans,omitempty"`
 	// Cost is the request's cost card, when the middleware attached one
 	// (see obs.CostCard): the work receipt joined to the timing tree.
+	// Its stages_ns is the trace's per-stage timing table.
 	Cost *obs.CostCard `json:"cost,omitempty"`
 }
 
 // Snapshot renders the trace. withSpans selects the full waterfall;
-// without it only the summary (ID, duration, per-stage sums) is built.
+// without it only the summary (ID, duration, cost card) is built.
 // Snapshot is called on finished traces (the rings hold only those);
 // on a live trace it returns a best-effort copy.
 func (t *Trace) Snapshot(withSpans bool) Snapshot {
@@ -363,17 +406,17 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 		Name:         t.name,
 		Start:        t.start,
 		DurationNs:   t.duration.Nanoseconds(),
-		Stages:       make(map[string]int64, 8),
 		DroppedSpans: t.dropped,
 		Cost:         t.cost,
 	}
 	if t.rec != nil && t.rec.slowThreshold > 0 && t.duration >= t.rec.slowThreshold {
 		s.Slow = true
 	}
-	if withSpans {
-		s.Spans = make([]SpanSnapshot, 0, len(t.spans))
+	if !withSpans {
+		return s
 	}
-	for i, sp := range t.spans {
+	s.Spans = make([]SpanSnapshot, 0, len(t.spans))
+	for _, sp := range t.spans {
 		d := sp.duration
 		unfinished := !sp.ended
 		if unfinished {
@@ -382,12 +425,6 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 			if !t.finished {
 				d = time.Since(sp.start)
 			}
-		}
-		if i > 0 { // the root would double-count every stage's parent
-			s.Stages[sp.name] += d.Nanoseconds()
-		}
-		if !withSpans {
-			continue
 		}
 		ss := SpanSnapshot{
 			Name:               sp.name,

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xmlsec/internal/obs"
 )
 
 func TestUntracedPathIsFreeAndNilSafe(t *testing.T) {
@@ -23,9 +25,32 @@ func TestUntracedPathIsFreeAndNilSafe(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("untraced StartSpan allocated %v times per run, want 0", allocs)
 	}
+	// The stage timer allocates nothing either, with a cost card (it
+	// adds to the card's array) or without one (it reads no clock).
+	card := &obs.CostCard{}
+	for _, c := range []context.Context{ctx, WithRequest(ctx, "id", card)} {
+		allocs = testing.AllocsPerRun(100, func() {
+			ctx2, tm := StartStage(c, obs.StageLabel)
+			if tm.Traced() {
+				tm.Lazyf("never formatted %d", 1)
+			}
+			tm.End()
+			StartStageChild(ctx2, obs.StagePrune).End()
+			if ctx2 != c {
+				t.Fatal("untraced StartStage must return the context unchanged")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("untraced stage timer allocated %v times per run, want 0", allocs)
+		}
+	}
+	if card.Stages[obs.StageLabel] <= 0 || card.Stages[obs.StagePrune] <= 0 {
+		t.Errorf("stage timer did not record on the card: %v", card.Stages)
+	}
+	var zero Timer
+	zero.End()
 	// Nil-safety of everything a caller can reach without a recorder.
 	var tr *Trace
-	tr.SetName("x")
 	tr.Finish()
 	if tr.Root() != nil {
 		t.Error("nil trace Root should be nil")
@@ -59,14 +84,16 @@ func TestSpanTreeAndStages(t *testing.T) {
 		t.Fatalf("RequestID = %q, want trace ID %q", RequestID(ctx), tr.ID)
 	}
 
-	lctx, label := StartSpan(ctx, "label")
+	card := &obs.CostCard{}
+	ctx = WithRequest(ctx, tr.ID, card)
+	lctx, label := StartStage(ctx, obs.StageLabel)
 	_, fill := StartSpan(lctx, "authindex.fill")
 	fill.Lazyf("auth %s selected %d nodes", "<public,/lab,read,+,R>", 7)
 	time.Sleep(time.Millisecond)
 	fill.End()
 	label.End()
-	_, prune := StartSpan(ctx, "prune")
-	prune.End()
+	StartStageChild(ctx, obs.StagePrune).End()
+	tr.SetCost(*card)
 	tr.Finish()
 
 	snap := tr.Snapshot(true)
@@ -86,24 +113,33 @@ func TestSpanTreeAndStages(t *testing.T) {
 	if depths["GET /docs/"] != 0 || depths["label"] != 1 || depths["authindex.fill"] != 2 || depths["prune"] != 1 {
 		t.Errorf("span depths wrong: %v", depths)
 	}
-	if snap.Stages["label"] <= 0 || snap.Stages["prune"] < 0 {
-		t.Errorf("stage sums missing: %v", snap.Stages)
-	}
-	if _, ok := snap.Stages["GET /docs/"]; ok {
-		t.Error("root span must not appear in stage sums")
+	// The stage table is the card's: a stage's span and its card entry
+	// carry the one duration the timer took; nested plain spans (the
+	// fill) are not stages.
+	if snap.Cost == nil {
+		t.Fatal("snapshot lost the cost card")
 	}
 	var fillSnap *SpanSnapshot
 	for i := range snap.Spans {
-		if snap.Spans[i].Name == "authindex.fill" {
-			fillSnap = &snap.Spans[i]
+		switch sp := &snap.Spans[i]; sp.Name {
+		case "authindex.fill":
+			fillSnap = sp
+		case "label":
+			if got := snap.Cost.Stages[obs.StageLabel]; got != sp.DurationNs || got < int64(time.Millisecond) {
+				t.Errorf("card label = %d ns, span = %d ns; want equal and >= 1ms", got, sp.DurationNs)
+			}
+		case "prune":
+			if got := snap.Cost.Stages[obs.StagePrune]; got != max(sp.DurationNs, 1) {
+				t.Errorf("card prune = %d ns, span = %d ns", got, sp.DurationNs)
+			}
 		}
 	}
 	if len(fillSnap.Annotations) != 1 || !strings.Contains(fillSnap.Annotations[0], "selected 7 nodes") {
 		t.Errorf("annotation missing or unformatted: %v", fillSnap.Annotations)
 	}
-	// Summary view omits spans but keeps stage sums.
+	// Summary view omits spans but keeps the card.
 	sum := tr.Snapshot(false)
-	if sum.Spans != nil || sum.Stages["label"] != snap.Stages["label"] {
+	if sum.Spans != nil || sum.Cost == nil || sum.Cost.Stages != snap.Cost.Stages {
 		t.Errorf("summary snapshot wrong: %+v", sum)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"xmlsec/internal/dom"
 	"xmlsec/internal/xmlparse"
@@ -191,6 +192,13 @@ func (s *Script) Validate() error {
 func (op *Op) validate() error {
 	if op.Target == "" {
 		return fmt.Errorf("missing target")
+	}
+	// Canonical() is JSON, which cannot carry invalid UTF-8: such a
+	// script would journal something other than what it applied.
+	for _, arg := range [...]string{op.Target, op.XML, op.Text, op.Name, op.Value} {
+		if !utf8.ValidString(arg) {
+			return fmt.Errorf("arguments must be valid UTF-8")
+		}
 	}
 	p, err := xpath.Compile(op.Target)
 	if err != nil {

@@ -5,25 +5,28 @@ import (
 	"testing"
 )
 
-func TestParseScriptJSONAndCompactAgree(t *testing.T) {
-	j := `{"ops": [
-		{"op": "insert-into", "target": "/site/regions", "xml": "<africa/>"},
-		{"op": "set-attr", "target": "//item", "name": "checked", "value": "1"},
-		{"op": "replace-text", "target": "/site/name", "text": "new name"},
-		{"op": "delete", "target": "//mail"}
-	]}`
-	c := `
+// jsonScript and compactScript are one script in its two forms.
+const jsonScript = `{"ops": [
+	{"op": "insert-into", "target": "/site/regions", "xml": "<africa/>"},
+	{"op": "set-attr", "target": "//item", "name": "checked", "value": "1"},
+	{"op": "replace-text", "target": "/site/name", "text": "new name"},
+	{"op": "delete", "target": "//mail"}
+]}`
+
+const compactScript = `
 # the same script, compactly
 insert-into /site/regions <africa/>
 set-attr //item checked=1
 replace-text /site/name new name
 delete //mail
 `
-	sj, err := ParseScript(j)
+
+func TestParseScriptJSONAndCompactAgree(t *testing.T) {
+	sj, err := ParseScript(jsonScript)
 	if err != nil {
 		t.Fatalf("JSON form: %v", err)
 	}
-	sc, err := ParseScript(c)
+	sc, err := ParseScript(compactScript)
 	if err != nil {
 		t.Fatalf("compact form: %v", err)
 	}
@@ -40,26 +43,30 @@ delete //mail
 	}
 }
 
+// rejectedScripts are malformed scripts, one per rule ParseScript
+// enforces.
+var rejectedScripts = []struct{ name, src string }{
+	{"empty", "   "},
+	{"unknown op", `{"ops":[{"op":"rename","target":"/a"}]}`},
+	{"unknown field", `{"ops":[{"op":"delete","target":"/a","extra":1}]}`},
+	{"no ops", `{"ops":[]}`},
+	{"missing target", `{"ops":[{"op":"delete"}]}`},
+	{"bad target", `{"ops":[{"op":"delete","target":"///"}]}`},
+	{"bad xml", `{"ops":[{"op":"insert-into","target":"/a","xml":"<oops"}]}`},
+	{"empty fragment", `{"ops":[{"op":"insert-into","target":"/a"}]}`},
+	{"replace-node two elements", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"<x/><y/>"}]}`},
+	{"replace-node text", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"just text"}]}`},
+	{"set-attr no name", `{"ops":[{"op":"set-attr","target":"/a","value":"1"}]}`},
+	{"delete with argument", `{"ops":[{"op":"delete","target":"/a","xml":"<x/>"}]}`},
+	{"mixed arguments", `{"ops":[{"op":"insert-into","target":"/a","xml":"<x/>","text":"t"}]}`},
+	{"compact delete with argument", "delete /a <x/>"},
+	{"compact set-attr without =", "set-attr /a checked"},
+	{"compact one field", "delete"},
+	{"invalid UTF-8", "set-attr /a b=\xdd"},
+}
+
 func TestParseScriptRejects(t *testing.T) {
-	bad := []struct{ name, src string }{
-		{"empty", "   "},
-		{"unknown op", `{"ops":[{"op":"rename","target":"/a"}]}`},
-		{"unknown field", `{"ops":[{"op":"delete","target":"/a","extra":1}]}`},
-		{"no ops", `{"ops":[]}`},
-		{"missing target", `{"ops":[{"op":"delete"}]}`},
-		{"bad target", `{"ops":[{"op":"delete","target":"///"}]}`},
-		{"bad xml", `{"ops":[{"op":"insert-into","target":"/a","xml":"<oops"}]}`},
-		{"empty fragment", `{"ops":[{"op":"insert-into","target":"/a"}]}`},
-		{"replace-node two elements", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"<x/><y/>"}]}`},
-		{"replace-node text", `{"ops":[{"op":"replace-node","target":"/a/b","xml":"just text"}]}`},
-		{"set-attr no name", `{"ops":[{"op":"set-attr","target":"/a","value":"1"}]}`},
-		{"delete with argument", `{"ops":[{"op":"delete","target":"/a","xml":"<x/>"}]}`},
-		{"mixed arguments", `{"ops":[{"op":"insert-into","target":"/a","xml":"<x/>","text":"t"}]}`},
-		{"compact delete with argument", "delete /a <x/>"},
-		{"compact set-attr without =", "set-attr /a checked"},
-		{"compact one field", "delete"},
-	}
-	for _, tc := range bad {
+	for _, tc := range rejectedScripts {
 		if _, err := ParseScript(tc.src); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
