@@ -52,8 +52,16 @@ func requireSameView(t *testing.T, a, b *core.Engine, req core.Request, doc *dom
 	if got, want := va.XMLIndent("  "), vb.XMLIndent("  "); got != want {
 		t.Fatalf("views differ for %s:\nindexed:\n%s\noracle:\n%s", req.Requester, got, want)
 	}
+	lbA, _, err := a.Label(req, doc)
+	if err != nil {
+		t.Fatalf("indexed engine: %v", err)
+	}
+	lbB, _, err := b.Label(req, doc)
+	if err != nil {
+		t.Fatalf("oracle engine: %v", err)
+	}
 	doc.Walk(func(n *dom.Node) bool {
-		la, lb := va.Labeling.Of(n), vb.Labeling.Of(n)
+		la, lb := lbA.Of(n), lbB.Of(n)
 		switch {
 		case la == nil && lb == nil:
 		case la == nil || lb == nil || *la != *lb:

@@ -185,10 +185,10 @@ type Stats struct {
 }
 
 // View is the outcome of compute-view: the document a requester is
-// entitled to see, plus the labeling that produced it. The view is
-// virtual: Doc is the shared read-only original and Mask carries the
-// visibility decision per node, so nothing is copied and the original
-// nodes are the view nodes. Consumers should go through Empty, Visible,
+// entitled to see, as the pair ⟨Doc, Mask⟩. The view is virtual: Doc is
+// the shared read-only original and Mask carries the visibility
+// decision per node, so nothing is copied and the original nodes are
+// the view nodes. Consumers should go through Empty, Visible,
 // OriginOf, WriteXML and Materialize rather than reading the fields.
 type View struct {
 	// Doc is the shared original document the view is over; it is
@@ -196,8 +196,10 @@ type View struct {
 	Doc *dom.Document
 	// Mask is the visibility bitmask over Doc's node indexes.
 	Mask dom.Bitmask
-	// Labeling holds the final labels, keyed by Doc's node indexes
-	// (invisible nodes remain queryable).
+	// Labeling optionally holds the labels the mask was computed from,
+	// keyed by Doc's node indexes. ComputeView leaves it nil: the
+	// labeling is scratch for Visibility, and a cached view must not
+	// carry it. Use Engine.Label to inspect labels.
 	Labeling *Labeling
 	// Stats summarizes the computation.
 	Stats Stats
@@ -292,7 +294,7 @@ func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Docum
 		card.NodesSwept += int64(stats.Nodes)
 		card.NodesKept += int64(kept)
 	}
-	return &View{Doc: doc, Mask: mask, Labeling: lb, Stats: stats}, nil
+	return &View{Doc: doc, Mask: mask, Stats: stats}, nil
 }
 
 // Label runs only the tree-labeling step on doc (in place with respect

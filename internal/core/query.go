@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 
 	"xmlsec/internal/dom"
@@ -76,10 +77,17 @@ func (v *View) QueryResultCtx(ctx context.Context, expr string) (*dom.Document, 
 
 // QueryResultOf is QueryResultCtx for an already compiled expression,
 // so a caller that vets the expression first compiles it only once.
+// Before copying anything it sums the visible nodes every match would
+// copy, and refuses an answer past xpath.MaxResultNodes with an error
+// wrapping xpath.ErrResultSize: matches may nest, so a small node-set
+// can still denote a quadratic copy.
 func (v *View) QueryResultOf(ctx context.Context, p *xpath.Path) (*dom.Document, error) {
 	idx, err := v.selectPath(ctx, p)
 	if err != nil {
 		return nil, err
+	}
+	if n := v.resultNodes(idx); n > xpath.MaxResultNodes {
+		return nil, fmt.Errorf("%w: %d nodes, more than %d", xpath.ErrResultSize, n, xpath.MaxResultNodes)
 	}
 	doc := dom.NewDocument()
 	root := dom.NewElement("result")
@@ -104,4 +112,24 @@ func (v *View) QueryResultOf(ctx context.Context, p *xpath.Path) (*dom.Document,
 	doc.SetDocumentElement(root)
 	doc.Renumber()
 	return doc, nil
+}
+
+// resultNodes returns how many view nodes QueryResultOf copies for the
+// matches idx: an element's whole visible subtree — a popcount of the
+// mask over its preorder interval — and one node for anything else.
+// The sum stops early once past the bound.
+func (v *View) resultNodes(idx []int32) int {
+	ar := v.Doc.ReadArena()
+	n := 0
+	for _, i := range idx {
+		if ar.Kind(i) == dom.ElementNode {
+			n += v.Mask.CountRange(int(i), int(ar.SubtreeEnd(i)))
+		} else {
+			n++
+		}
+		if n > xpath.MaxResultNodes {
+			break
+		}
+	}
+	return n
 }

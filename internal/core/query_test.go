@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -164,7 +165,9 @@ func leakView(t testing.TB) *core.View {
 }
 
 // materializedResult is the oracle for QueryResult: the tree evaluator
-// over the materialized view, with matches cloned from that tree.
+// over the materialized view, with matches cloned from that tree, and
+// refused when the clones would hold more than xpath.MaxResultNodes
+// nodes.
 func materializedResult(v *core.View, expr string) (*dom.Document, error) {
 	p, err := xpath.Compile(expr)
 	if err != nil {
@@ -175,6 +178,17 @@ func materializedResult(v *core.View, expr string) (*dom.Document, error) {
 		if nodes, err = p.SelectDoc(v.Materialize()); err != nil {
 			return nil, err
 		}
+	}
+	copied := 0
+	for _, n := range nodes {
+		if n.Type == dom.ElementNode {
+			copied += subtreeSize(n)
+		} else {
+			copied++
+		}
+	}
+	if copied > xpath.MaxResultNodes {
+		return nil, xpath.ErrResultSize
 	}
 	doc := dom.NewDocument()
 	root := dom.NewElement("result")
@@ -196,6 +210,15 @@ func materializedResult(v *core.View, expr string) (*dom.Document, error) {
 	doc.SetDocumentElement(root)
 	doc.Renumber()
 	return doc, nil
+}
+
+// subtreeSize counts n, its attributes and its descendants.
+func subtreeSize(n *dom.Node) int {
+	size := 1 + len(n.Attrs)
+	for _, c := range n.Children {
+		size += subtreeSize(c)
+	}
+	return size
 }
 
 // queryParity evaluates expr over the view under its mask and over the
@@ -299,6 +322,42 @@ func TestQueryLeakSuite(t *testing.T) {
 					t.Errorf("%q: match carries hidden %q: %s", tc.expr, marker, s)
 				}
 			}
+		}
+	}
+}
+
+// TestQueryResultBoundMatchesMaterialized pins the result bound at its
+// edge. //* over a chain of d visible elements copies d(d+1)/2 nodes;
+// the test takes the deepest chain within xpath.MaxResultNodes and the
+// next one, which crosses it. Each level also holds a hidden element and
+// a hidden attribute that the count must skip. Masked and materialized
+// evaluation must agree on which depth is refused.
+func TestQueryResultBoundMatchesMaterialized(t *testing.T) {
+	edge := 1
+	for (edge+1)*(edge+2)/2 <= xpath.MaxResultNodes {
+		edge++
+	}
+	for _, tc := range []struct {
+		depth   int
+		refused bool
+	}{{edge, false}, {edge + 1, true}} {
+		src := strings.Repeat(`<a s="x"><h/>`, tc.depth) + strings.Repeat(`</a>`, tc.depth)
+		res, err := xmlparse.Parse(src, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar := res.Doc.ReadArena()
+		mask := dom.NewBitmask(ar.Len())
+		for i := int32(0); i < int32(ar.Len()); i++ {
+			if ar.Kind(i) == dom.DocumentNode || ar.Kind(i) == dom.ElementNode && ar.Name(i) == "a" {
+				mask.Set(int(i))
+			}
+		}
+		v := &core.View{Doc: res.Doc, Mask: mask}
+		_, gotErr := v.QueryResult("//*")
+		_, wantErr := materializedResult(v, "//*")
+		if errors.Is(gotErr, xpath.ErrResultSize) != tc.refused || errors.Is(wantErr, xpath.ErrResultSize) != tc.refused {
+			t.Errorf("depth %d: masked err %v, materialized err %v, want refused=%v", tc.depth, gotErr, wantErr, tc.refused)
 		}
 	}
 }

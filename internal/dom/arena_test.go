@@ -345,3 +345,32 @@ func TestMaskedWriteWithoutArena(t *testing.T) {
 		t.Fatal("masked write cached an arena on the document")
 	}
 }
+
+// TestBitmaskCountRange checks the ranged popcount against a bit-by-bit
+// count over every interval of a mask spanning several words, and the
+// nil mask's count-everything convention.
+func TestBitmaskCountRange(t *testing.T) {
+	const n = 200
+	m := NewBitmask(n)
+	for i := 0; i < n; i++ {
+		if i%3 == 0 || i%7 == 0 || (i >= 60 && i < 70) {
+			m.Set(i)
+		}
+	}
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo; hi <= n+5; hi++ {
+			want := 0
+			for i := lo; i < hi; i++ {
+				if m.Get(i) {
+					want++
+				}
+			}
+			if got := m.CountRange(lo, hi); got != want {
+				t.Fatalf("CountRange(%d, %d) = %d, want %d", lo, hi, got, want)
+			}
+		}
+	}
+	if got := Bitmask(nil).CountRange(3, 10); got != 7 {
+		t.Errorf("nil mask CountRange(3, 10) = %d, want 7", got)
+	}
+}

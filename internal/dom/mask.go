@@ -47,6 +47,30 @@ func (m Bitmask) Count() int {
 	return n
 }
 
+// CountRange returns the number of visible indexes in [lo, hi); a nil
+// mask counts every index. With a preorder subtree's index interval
+// [i, Arena.SubtreeEnd(i)) it is the size of the subtree the view shows.
+func (m Bitmask) CountRange(lo, hi int) int {
+	if m == nil {
+		return hi - lo
+	}
+	hi = min(hi, len(m)*64)
+	if lo >= hi {
+		return 0
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	first := m[lw] &^ (1<<(uint(lo)&63) - 1)
+	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if lw == hw {
+		return bits.OnesCount64(first & last)
+	}
+	n := bits.OnesCount64(first) + bits.OnesCount64(m[hw]&last)
+	for _, w := range m[lw+1 : hw] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Visible reports whether node n is visible under the mask. A nil mask
 // means "everything visible", which lets fully materialized documents
 // and masked views share code paths.

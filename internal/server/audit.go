@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xmlsec/internal/core"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
@@ -103,8 +102,8 @@ func costSnapshot(ctx context.Context) *obs.CostCard {
 	return &cc
 }
 
-// auditRead records the outcome of a Process call.
-func (s *Site) auditRead(ctx context.Context, rq subjects.Requester, uri string, view *core.View, err error) {
+// auditRead records the outcome of a Process or QueryDoc call.
+func (s *Site) auditRead(ctx context.Context, rq subjects.Requester, uri string, res *ProcessResult, err error) {
 	if s.audit == nil {
 		return
 	}
@@ -116,9 +115,9 @@ func (s *Site) auditRead(ctx context.Context, rq subjects.Requester, uri string,
 	switch {
 	case err == nil:
 		rec.Decision = "ok"
-		if view != nil {
-			rec.Kept = view.Stats.Kept
-			rec.Nodes = view.Stats.Nodes
+		if res != nil {
+			rec.Kept = res.View.Stats.Kept
+			rec.Nodes = res.View.Stats.Nodes
 		}
 	case isNotFound(err):
 		rec.Decision = "not-found"

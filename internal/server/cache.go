@@ -14,9 +14,16 @@ import (
 // authorizations applicable to it (subjects.ClassIndex), so the cache
 // holds one entry per (class, document) however many distinct
 // requesters are served. Entries are additionally keyed on the
-// authorization-store, document-store, and policy generations, so any
-// policy or content change invalidates them implicitly; an LRU bound
-// keeps memory flat.
+// authorization-store, document-store, policy and directory
+// generations, so any policy or content change invalidates them
+// implicitly; an LRU bound keeps memory flat.
+//
+// All four generations only ever grow, so an entry keyed under an older
+// vector can never be served again — and it pins a superseded document
+// version (tree and arena) for as long as it stays. The cache therefore
+// holds entries of one vector only, gen: the first lookup or install
+// carrying a vector newer in any component retires every entry, and an
+// install under a vector lower in any component is refused.
 //
 // The cache is sound because view computation is deterministic in
 // (applicability set, document, policy): two requests in the same
@@ -34,19 +41,36 @@ type viewCache struct {
 	lru     *list.List // front = most recent; values are *cacheEntry
 	index   map[viewKey]*list.Element
 	flights map[viewKey]*flight
+	gen     generations // the vector every cached entry is keyed under
 
 	hits, misses, coalesced atomic.Uint64
+}
+
+// generations is the vector of site generations a view is computed
+// under. Every component only ever grows.
+type generations struct {
+	Auth      uint64 `json:"auth"`
+	Doc       uint64 `json:"doc"`
+	Policy    uint64 `json:"policy"`
+	Directory uint64 `json:"directory"`
+}
+
+// newerIn reports whether g is newer than h in any component.
+func (g generations) newerIn(h generations) bool {
+	return g.Auth > h.Auth || g.Doc > h.Doc || g.Policy > h.Policy || g.Directory > h.Directory
+}
+
+// join returns the componentwise maximum of g and h.
+func (g generations) join(h generations) generations {
+	return generations{max(g.Auth, h.Auth), max(g.Doc, h.Doc), max(g.Policy, h.Policy), max(g.Directory, h.Directory)}
 }
 
 // viewKey identifies one cached view. The requester appears only
 // through its equivalence class.
 type viewKey struct {
-	class   subjects.ClassID
-	uri     string
-	authGen uint64
-	docGen  uint64
-	polGen  uint64
-	dirGen  uint64
+	class subjects.ClassID
+	uri   string
+	gen   generations
 }
 
 type cacheEntry struct {
@@ -81,6 +105,7 @@ func newViewCache(max int) *viewCache {
 func (c *viewCache) get(k viewKey) (*ProcessResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.advanceLocked(k.gen)
 	el, ok := c.index[k]
 	if !ok {
 		c.misses.Add(1)
@@ -99,6 +124,7 @@ func (c *viewCache) get(k viewKey) (*ProcessResult, bool) {
 func (c *viewCache) beginFlight(k viewKey) (res *ProcessResult, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.advanceLocked(k.gen)
 	if el, ok := c.index[k]; ok {
 		c.lru.MoveToFront(el)
 		c.hits.Add(1)
@@ -139,6 +165,9 @@ func (c *viewCache) put(k viewKey, res *ProcessResult) {
 }
 
 func (c *viewCache) putLocked(k viewKey, res *ProcessResult) {
+	if !c.advanceLocked(k.gen) {
+		return // keyed under a superseded vector: it could never hit
+	}
 	if el, ok := c.index[k]; ok {
 		e := el.Value.(*cacheEntry)
 		e.res = res
@@ -153,6 +182,21 @@ func (c *viewCache) putLocked(k viewKey, res *ProcessResult) {
 		c.lru.Remove(last)
 		delete(c.index, last.Value.(*cacheEntry).key)
 	}
+}
+
+// advanceLocked moves the cache to vector g and reports whether g is
+// the vector the cache now holds entries of. A vector newer in any
+// component retires every entry — none can hit again, and each pins a
+// superseded document version — so the cache never holds more than one
+// vector's views. A vector lower in some component is stale: nothing
+// may be installed under it.
+func (c *viewCache) advanceLocked(g generations) bool {
+	if g.newerIn(c.gen) {
+		c.lru.Init()
+		clear(c.index)
+		c.gen = c.gen.join(g)
+	}
+	return g == c.gen
 }
 
 // Stats reports cache effectiveness.
@@ -179,9 +223,9 @@ type CacheEntryInfo struct {
 	Bytes        int              `json:"bytes"`
 }
 
-// Entries returns a snapshot of every cached view in LRU order (most
-// recently used first).
-func (c *viewCache) Entries() []CacheEntryInfo {
+// Entries returns the vector every cached view is keyed under and a
+// snapshot of the views in LRU order (most recently used first).
+func (c *viewCache) Entries() (generations, []CacheEntryInfo) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,8 +233,8 @@ func (c *viewCache) Entries() []CacheEntryInfo {
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*cacheEntry)
 		info := CacheEntryInfo{
-			Class: e.key.class, URI: e.key.uri, AuthGen: e.key.authGen, DocGen: e.key.docGen,
-			PolicyGen: e.key.polGen, DirectoryGen: e.key.dirGen,
+			Class: e.key.class, URI: e.key.uri, AuthGen: e.key.gen.Auth, DocGen: e.key.gen.Doc,
+			PolicyGen: e.key.gen.Policy, DirectoryGen: e.key.gen.Directory,
 			AgeNs: now.Sub(e.at).Nanoseconds(),
 		}
 		if e.res != nil {
@@ -198,7 +242,7 @@ func (c *viewCache) Entries() []CacheEntryInfo {
 		}
 		out = append(out, info)
 	}
-	return out
+	return c.gen, out
 }
 
 // Len reports the current number of cached entries. Under class keying
@@ -216,5 +260,5 @@ func (c *viewCache) Len() int {
 // the class index, whose IDs are never reused — and kept as a cheap
 // second guard against serving a view across a membership change.
 func classKey(class subjects.ClassID, uri string, authGen, docGen, polGen, dirGen uint64) viewKey {
-	return viewKey{class: class, uri: uri, authGen: authGen, docGen: docGen, polGen: polGen, dirGen: dirGen}
+	return viewKey{class: class, uri: uri, gen: generations{authGen, docGen, polGen, dirGen}}
 }

@@ -319,17 +319,17 @@ func (s *Site) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		// A malformed or ill-typed expression is the client's fault, and
-		// so is one that exceeds the evaluation budget; a client that
-		// gave up gets 503. Anything else is an internal failure whose
-		// detail (engine internals, store state) must not reach the
-		// client.
+		// so is one that exceeds the evaluation budget or whose answer
+		// exceeds the result budget; a client that gave up gets 503.
+		// Anything else is an internal failure whose detail (engine
+		// internals, store state) must not reach the client.
 		var se *xpath.SyntaxError
 		var te *xpath.TypeError
 		switch {
 		case errors.As(err, &se) || errors.As(err, &te):
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
-		case errors.Is(err, xpath.ErrBudget):
+		case errors.Is(err, xpath.ErrBudget) || errors.Is(err, xpath.ErrResultSize):
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -275,6 +276,42 @@ func TestHTTPQueryErrors(t *testing.T) {
 	}
 	if body := rec.Body.String(); strings.Contains(body, "subjects:") || strings.Contains(body, "bogus-peer") {
 		t.Errorf("500 body leaks internal detail: %q", body)
+	}
+}
+
+// TestHTTPQueryResultBound pins the bound on query answers: //* over a
+// 3,000-deep chain selects 3,000 nested elements, whose copies would
+// total about 4.5 million nodes. The answer is refused with 422 before
+// anything is copied, while a query selecting the same chain once is
+// served.
+func TestHTTPQueryResultBound(t *testing.T) {
+	// The first query caches the view, so the refused one below runs
+	// only the evaluation and the bound check.
+	site := labSite(t).EnableViewCache(16)
+	const depth = 3000
+	src := strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+	if err := site.Docs.AddDocument("chain.xml", src); err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Auths.Add(authz.InstanceLevel, authz.MustParse(`<<Public,*,*>,chain.xml:/a,read,+,R>`)); err != nil {
+		t.Fatal(err)
+	}
+	h := site.Handler()
+	if code, body := get(t, h, "/query/chain.xml?q=/a", "Tom", "pw-tom", "130.100.50.8"); code != http.StatusOK ||
+		strings.Count(body, "<a") != depth {
+		t.Fatalf("/a over the chain: HTTP %d with %d elements, want 200 with %d", code, strings.Count(body, "<a"), depth)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, body := get(t, h, "/query/chain.xml?q="+url.QueryEscape("//*"), "Tom", "pw-tom", "130.100.50.8")
+	runtime.ReadMemStats(&after)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "result exceeds") {
+		t.Errorf("//* over the chain: HTTP %d %q, want 422 naming the result budget", code, body)
+	}
+	// The evaluation allocates well under a megabyte here; copying the
+	// answer would allocate hundreds.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Errorf("refused query allocated %d bytes: the answer was materialized", alloc)
 	}
 }
 

@@ -109,27 +109,39 @@ func (s *Site) handleSlowz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cachezResponse is the body of GET /debug/cachez.
+// cachezResponse is the body of GET /debug/cachez. Generations is the
+// vector every entry is keyed under (the cache holds no other), and
+// Bytes totals the entries' unparsed XML.
 type cachezResponse struct {
-	Hits      uint64           `json:"hits"`
-	Misses    uint64           `json:"misses"`
-	Coalesced uint64           `json:"coalesced"`
-	Entries   []CacheEntryInfo `json:"entries"`
+	Hits        uint64           `json:"hits"`
+	Misses      uint64           `json:"misses"`
+	Coalesced   uint64           `json:"coalesced"`
+	Generations generations      `json:"generations"`
+	Bytes       int              `json:"bytes"`
+	Entries     []CacheEntryInfo `json:"entries"`
 }
 
-// handleCachez serves GET /debug/cachez: every cached view with its
-// class, generations, age, and size. 404 until EnableViewCache.
+// handleCachez serves GET /debug/cachez: the cache's generation vector
+// and total size, then every cached view with its class, generations,
+// age, and size. 404 until EnableViewCache.
 func (s *Site) handleCachez(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {
 		http.NotFound(w, r)
 		return
 	}
 	hits, misses := s.cache.Stats()
+	gen, entries := s.cache.Entries()
+	total := 0
+	for _, e := range entries {
+		total += e.Bytes
+	}
 	s.writeJSON(w, cachezResponse{
-		Hits:      hits,
-		Misses:    misses,
-		Coalesced: s.cache.Coalesced(),
-		Entries:   s.cache.Entries(),
+		Hits:        hits,
+		Misses:      misses,
+		Coalesced:   s.cache.Coalesced(),
+		Generations: gen,
+		Bytes:       total,
+		Entries:     entries,
 	})
 }
 

@@ -369,6 +369,10 @@ func TestInspectorContents(t *testing.T) {
 	if len(cz.Entries) != 1 || cz.Entries[0].URI != labexample.DocURI || cz.Entries[0].Bytes == 0 {
 		t.Errorf("cachez entries = %+v, want one %s entry with bytes", cz.Entries, labexample.DocURI)
 	}
+	if cz.Generations != currentGenerations(site) || len(cz.Entries) != 1 || cz.Bytes != cz.Entries[0].Bytes {
+		t.Errorf("cachez generations %+v, bytes %d: want the site's %+v and the entries' total",
+			cz.Generations, cz.Bytes, currentGenerations(site))
+	}
 
 	code, body, _ = getID(t, h, "/debug/authindexz", "", "", "10.0.0.1")
 	if code != http.StatusOK {

@@ -181,7 +181,8 @@ func (s *Site) LoadXACLContext(ctx context.Context, input string) (*authz.XACL, 
 // ProcessResult is the outcome of one execution cycle of the security
 // processor.
 type ProcessResult struct {
-	// View is the computed view (labeling + pruned tree).
+	// View is the computed view: the shared document and its visibility
+	// mask.
 	View *core.View
 	// XML is the unparsed view document.
 	XML string
@@ -210,14 +211,17 @@ func (s *Site) Process(rq subjects.Requester, uri string) (*ProcessResult, error
 // one per request) and, when ctx carries a trace, recorded as a span;
 // the request ID is written into the audit record either way. A
 // context with neither adds no allocation to the cycle.
-func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (res *ProcessResult, err error) {
+func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (*ProcessResult, error) {
+	res, err := s.process(ctx, rq, uri)
+	s.auditRead(ctx, rq, uri, res, err)
+	return res, err
+}
+
+// process runs the execution cycle for ProcessContext and QueryDocContext
+// without auditing it: each caller audits once its request is complete.
+func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (res *ProcessResult, err error) {
 	s.initMetrics()
 	defer func() {
-		var v *core.View
-		if res != nil {
-			v = res.View
-		}
-		s.auditRead(ctx, rq, uri, v, err)
 		switch {
 		case err == nil:
 			s.metrics.processed.With("ok").Inc()
@@ -325,10 +329,10 @@ func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri st
 				// is served either way — but it must not outlive this
 				// flight under a stale key.
 				store := err == nil && res != nil &&
-					s.Auths.Generation() == key.authGen &&
-					s.Docs.Generation() == key.docGen &&
-					s.Engine.PolicyGeneration() == key.polGen &&
-					s.Directory.Generation() == key.dirGen
+					s.Auths.Generation() == key.gen.Auth &&
+					s.Docs.Generation() == key.gen.Doc &&
+					s.Engine.PolicyGeneration() == key.gen.Policy &&
+					s.Directory.Generation() == key.gen.Directory
 				s.cache.completeFlight(key, fl, res, err, store)
 			}()
 		}

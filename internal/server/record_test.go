@@ -15,7 +15,8 @@ import (
 // time is taken once, onto the request's cost card, and every channel
 // reads those numbers — the stage histograms get one observation per
 // stage the request ran, and the trace, the slow board and the audit
-// trail carry the same card.
+// trail carry the same card — for a query, one that includes its
+// evaluation.
 func TestOneRequestRecord(t *testing.T) {
 	site := durableLabSite(t, t.TempDir()).EnableViewCache(16).EnableSlowLog(0, 32)
 	site.EnableTracing(trace.Options{Capacity: 16, SampleEvery: 1, SlowThreshold: -1})
@@ -45,6 +46,9 @@ func TestOneRequestRecord(t *testing.T) {
 		{"cold GET", http.MethodGet, "/docs/CSlab.xml", "Tom", tom, "", http.StatusOK,
 			[]obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageValidate, obs.StageUnparse}},
 		{"cached GET", http.MethodGet, "/docs/CSlab.xml", "Tom", tom, "", http.StatusOK, nil},
+		// The query runs on the cached view; its audit record is written
+		// after the evaluation, so it carries xpath_arena_evals too.
+		{"query", http.MethodGet, "/query/CSlab.xml?q=//title", "Tom", tom, "", http.StatusOK, nil},
 		{"PUT", http.MethodPut, "/docs/CSlab.xml", "Sam", sam, updatedCSlab, http.StatusNoContent,
 			[]obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageParse, obs.StageMerge, obs.StageValidate, obs.StageWALAppend}},
 		{"POST update", http.MethodPost, "/docs/CSlab.xml/update", "Sam", sam, "replace-text //flname Ada Hopper", http.StatusNoContent,
@@ -92,6 +96,9 @@ func TestOneRequestRecord(t *testing.T) {
 		}
 		if ar.RequestID != id || ar.Cost == nil || *ar.Cost != card {
 			t.Errorf("%s: audit record %+v (cost %+v) differs from the slow-board card %+v", tc.name, ar, ar.Cost, card)
+		}
+		if strings.HasPrefix(tc.path, "/query/") && card.ArenaXPathEvals != 1 {
+			t.Errorf("%s: card counts %d XPath evaluations, want 1", tc.name, card.ArenaXPathEvals)
 		}
 		if len(tc.stages) == 0 && !strings.Contains(line, `"stages_ns":{}`) {
 			t.Errorf("%s: a request that ran no stage must have an empty stages_ns: %s", tc.name, line)

@@ -163,9 +163,11 @@ func (s *Site) QueryDoc(rq subjects.Requester, uri, expr string) (*dom.Document,
 }
 
 // QueryDocContext is QueryDoc under a request context: the evaluation
-// stops when ctx is done or exceeds xpath.MaxVisits, and a traced
+// stops when ctx is done or exceeds xpath.MaxVisits, an answer past
+// xpath.MaxResultNodes is refused before it is copied, and a traced
 // context records the view computation's cycle stages and the query
-// evaluation ("xpath.eval") as spans.
+// evaluation ("xpath.eval") as spans. The request is audited once the
+// evaluation is done, so the audit record's cost card carries it.
 func (s *Site) QueryDocContext(ctx context.Context, rq subjects.Requester, uri, expr string) (*dom.Document, error) {
 	// Compile and type-check first: a malformed expression, or one that
 	// cannot select nodes, is the client's fault and must fail before
@@ -177,11 +179,13 @@ func (s *Site) QueryDocContext(ctx context.Context, rq subjects.Requester, uri, 
 	if err := p.CheckNodeSet(); err != nil {
 		return nil, err
 	}
-	res, err := s.ProcessContext(ctx, rq, uri)
-	if err != nil {
-		return nil, err
+	res, err := s.process(ctx, rq, uri)
+	var out *dom.Document
+	if err == nil {
+		out, err = res.View.QueryResultOf(ctx, p)
 	}
-	return res.View.QueryResultOf(ctx, p)
+	s.auditRead(ctx, rq, uri, res, err)
+	return out, err
 }
 
 // GrantWrite installs a write authorization from its tuple form,

@@ -44,6 +44,20 @@ import (
 // document stops after a fraction of a second.
 const MaxVisits = 1 << 25
 
+// MaxResultNodes bounds the nodes a query answer may copy out of its
+// view: the sum, over the matches, of the visible nodes in each match's
+// subtree. MaxVisits bounds the evaluation but not the answer: matches
+// may nest, so //* over a 3,000-deep chain selects 3,000 elements yet
+// would copy 3,000·3,001/2 ≈ 4.5 million nodes. Callers that
+// materialize matches (core.View.QueryResultOf) check this bound before
+// copying and fail with ErrResultSize past it. Whole views are not
+// queries: GET /docs/ serializes them straight from the arena.
+const MaxResultNodes = 1 << 18
+
+// ErrResultSize reports a query answer refused for copying more than
+// MaxResultNodes nodes.
+var ErrResultSize = errors.New("xpath: query result exceeds its node budget")
+
 // checkEvery is how many visits pass between budget and context checks.
 const checkEvery = 1 << 12
 
