@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // WriteOptions controls XML serialization ("unparsing" in the paper's
@@ -36,7 +37,12 @@ type WriteOptions struct {
 }
 
 // EscapeText escapes character data for inclusion as XML content.
+// Input with nothing to escape is returned as is. Invalid UTF-8 is
+// replaced by U+FFFD, so such input is always rebuilt.
 func EscapeText(s string) string {
+	if !strings.ContainsAny(s, "&<>\r") && utf8.ValidString(s) {
+		return s
+	}
 	var b strings.Builder
 	for _, r := range s {
 		switch r {
@@ -56,8 +62,11 @@ func EscapeText(s string) string {
 }
 
 // EscapeAttr escapes character data for inclusion in a double-quoted
-// attribute value.
+// attribute value. Like EscapeText, it returns clean input as is.
 func EscapeAttr(s string) string {
+	if !strings.ContainsAny(s, "&<\"\t\n\r") && utf8.ValidString(s) {
+		return s
+	}
 	var b strings.Builder
 	for _, r := range s {
 		switch r {

@@ -39,6 +39,34 @@ func TestEscapeAttr(t *testing.T) {
 	}
 }
 
+// TestEscapeCleanInputNoAlloc pins the fast path: input with nothing to
+// escape comes back as is, without allocating. Invalid UTF-8 is not
+// clean: the rune loop replaces it with U+FFFD.
+func TestEscapeCleanInputNoAlloc(t *testing.T) {
+	for _, in := range []string{"", "plain", "Größe 42 €", `quote"keep'`} {
+		if got := EscapeText(in); got != in {
+			t.Errorf("EscapeText(%q) = %q", in, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { EscapeText(in) }); n != 0 {
+			t.Errorf("EscapeText(%q) made %.0f allocations, want 0", in, n)
+		}
+	}
+	for _, in := range []string{"", "plain", "Größe 42 €", "a>b 'c'"} {
+		if got := EscapeAttr(in); got != in {
+			t.Errorf("EscapeAttr(%q) = %q", in, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { EscapeAttr(in) }); n != 0 {
+			t.Errorf("EscapeAttr(%q) made %.0f allocations, want 0", in, n)
+		}
+	}
+	if got := EscapeText("a\xffb"); got != "a\uFFFDb" {
+		t.Errorf("EscapeText of invalid UTF-8 = %q, want U+FFFD in place", got)
+	}
+	if got := EscapeAttr("a\xffb"); got != "a\uFFFDb" {
+		t.Errorf("EscapeAttr of invalid UTF-8 = %q, want U+FFFD in place", got)
+	}
+}
+
 func TestSerializeBasics(t *testing.T) {
 	doc := NewDocument()
 	a := NewElement("a")

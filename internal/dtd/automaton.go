@@ -88,49 +88,66 @@ func (a *automaton) build(p *Particle) glushkov {
 	return g
 }
 
+// matchState is the scratch of a match: the active and next position
+// sets, and a mark per position stamped with the step that added it,
+// so a set is deduplicated without being cleared. One validation
+// reuses it for every element; it grows to the largest automaton.
+type matchState struct {
+	cur, next []int
+	mark      []uint32
+	step      uint32
+}
+
 // matches reports whether the sequence of child element names is
 // accepted by the content model, and on failure, the index of the first
 // offending child (len(seq) if the sequence ended too early).
-func (a *automaton) matches(seq []string) (bool, int) {
-	// state is the set of active positions; nil start state means
-	// "before any symbol".
-	cur := make(map[int]bool)
-	atStart := true
+func (a *automaton) matches(seq []string, st *matchState) (bool, int) {
+	if len(st.mark) < len(a.names) {
+		st.mark = make([]uint32, len(a.names))
+		st.step = 0
+	}
+	cur := st.cur[:0]
 	for idx, sym := range seq {
-		next := make(map[int]bool)
-		if atStart {
-			for _, f := range a.first {
-				if a.names[f] == sym {
-					next[f] = true
-				}
-			}
+		st.step++
+		if st.step == 0 { // wrapped: no stale stamp may equal a new one
+			clear(st.mark)
+			st.step = 1
+		}
+		next := st.next[:0]
+		if idx == 0 {
+			next = a.advance(next, a.first, sym, st)
 		} else {
-			for pos := range cur {
-				for _, f := range a.follow[pos] {
-					if a.names[f] == sym {
-						next[f] = true
-					}
-				}
+			for _, pos := range cur {
+				next = a.advance(next, a.follow[pos], sym, st)
 			}
 		}
+		st.cur, st.next = next, cur
 		if len(next) == 0 {
 			return false, idx
 		}
 		cur = next
-		atStart = false
 	}
-	if atStart {
-		if a.nullable {
-			return true, 0
-		}
-		return false, 0
+	if len(seq) == 0 {
+		return a.nullable, 0
 	}
-	for pos := range cur {
+	for _, pos := range cur {
 		if a.last[pos] {
 			return true, 0
 		}
 	}
 	return false, len(seq)
+}
+
+// advance appends to next the positions among cands that read sym and
+// are not in next yet.
+func (a *automaton) advance(next, cands []int, sym string, st *matchState) []int {
+	for _, f := range cands {
+		if a.names[f] == sym && st.mark[f] != st.step {
+			st.mark[f] = st.step
+			next = append(next, f)
+		}
+	}
+	return next
 }
 
 // automatonFor returns the compiled automaton for e, building it on
@@ -186,7 +203,7 @@ func (d *DTD) AcceptsSequence(name string, children []string) bool {
 		}
 		return true
 	case ElementContent:
-		ok, _ := e.automatonFor().matches(children)
+		ok, _ := e.automatonFor().matches(children, &matchState{})
 		return ok
 	}
 	return false

@@ -293,7 +293,13 @@ type DTD struct {
 	// declOrder records declaration order for faithful serialization:
 	// entries are tagged references into the maps above.
 	declOrder []declRef
+
+	// attDefs holds every (element, attribute) pair in Attlists, so
+	// AddAttDef finds a redeclaration without scanning the list.
+	attDefs map[attKey]bool
 }
+
+type attKey struct{ elem, attr string }
 
 type declKind int
 
@@ -361,9 +367,14 @@ func (d *DTD) AddElement(e *ElementDecl) error {
 // attribute is defined more than once for an element, the first
 // definition is binding and later ones are ignored.
 func (d *DTD) AddAttDef(a *AttDef) {
-	if prior := d.AttDef(a.Element, a.Name); prior != nil {
+	k := attKey{a.Element, a.Name}
+	if d.attDefs[k] {
 		return
 	}
+	if d.attDefs == nil {
+		d.attDefs = make(map[attKey]bool)
+	}
+	d.attDefs[k] = true
 	if _, seen := d.Attlists[a.Element]; !seen {
 		d.declOrder = append(d.declOrder, declRef{kind: declAttlist, name: a.Element})
 	}

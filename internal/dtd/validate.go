@@ -92,6 +92,10 @@ type validator struct {
 	errs   ValidationErrors
 	ids    map[string]*dom.Node
 	idrefs []idref
+	// Scratch reused across elements: the child-name sequence of the
+	// element being checked and the content-model match state.
+	seq   []string
+	match matchState
 }
 
 func (v *validator) errf(n *dom.Node, format string, args ...any) {
@@ -138,17 +142,24 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 			}
 		}
 	case MixedContent:
-		allowed := make(map[string]bool, len(decl.Mixed))
-		for _, m := range decl.Mixed {
-			allowed[m] = true
+		// Short name lists are scanned; a long one is indexed once.
+		var allowed map[string]bool
+		if len(decl.Mixed) > attrScanMax {
+			allowed = make(map[string]bool, len(decl.Mixed))
+			for _, m := range decl.Mixed {
+				allowed[m] = true
+			}
 		}
 		for _, c := range n.Children {
-			if c.Type == dom.ElementNode && !allowed[c.Name] {
+			if c.Type != dom.ElementNode {
+				continue
+			}
+			if allowed != nil && !allowed[c.Name] || allowed == nil && !contains(decl.Mixed, c.Name) {
 				v.errf(c, "element %q not allowed in mixed content of %q", c.Name, n.Name)
 			}
 		}
 	case ElementContent:
-		var seq []string
+		seq := v.seq[:0]
 		for _, c := range n.Children {
 			switch c.Type {
 			case dom.ElementNode:
@@ -159,7 +170,8 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 				}
 			}
 		}
-		if ok, at := decl.automatonFor().matches(seq); !ok {
+		v.seq = seq
+		if ok, at := decl.automatonFor().matches(seq, &v.match); !ok {
 			if at >= len(seq) {
 				v.errf(n, "content of %q ends prematurely: (%s) does not complete %s",
 					n.Name, strings.Join(seq, ","), decl.Model)
@@ -171,14 +183,33 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 	}
 }
 
+// attrScanMax is the count of attributes on an element, or of
+// declarations for its type, up to which lookups scan; past it on
+// either side both are indexed once, so validation stays linear in the
+// number of attributes.
+const attrScanMax = 8
+
 func (v *validator) attributes(n *dom.Node) {
 	defs := v.dtd.Attlists[n.Name]
-	declared := make(map[string]*AttDef, len(defs))
-	for _, def := range defs {
-		declared[def.Name] = def
+	var declared map[string]*AttDef
+	var present map[string]bool
+	if len(defs) > attrScanMax || len(n.Attrs) > attrScanMax {
+		declared = make(map[string]*AttDef, len(defs))
+		for _, def := range defs {
+			declared[def.Name] = def
+		}
+		present = make(map[string]bool, len(n.Attrs))
+		for _, a := range n.Attrs {
+			present[a.Name] = true
+		}
 	}
 	for _, a := range n.Attrs {
-		def := declared[a.Name]
+		var def *AttDef
+		if declared != nil {
+			def = declared[a.Name]
+		} else {
+			def = v.dtd.AttDef(n.Name, a.Name)
+		}
 		if def == nil {
 			v.errf(a, "attribute %q is not declared for element %q", a.Name, n.Name)
 			continue
@@ -186,7 +217,7 @@ func (v *validator) attributes(n *dom.Node) {
 		v.attrValue(a, def)
 	}
 	for _, def := range defs {
-		if _, present := n.Attr(def.Name); present {
+		if present[def.Name] || present == nil && n.AttrNode(def.Name) != nil {
 			continue
 		}
 		switch def.Default {
@@ -194,8 +225,11 @@ func (v *validator) attributes(n *dom.Node) {
 			v.errf(n, "required attribute %q of element %q is missing", def.Name, n.Name)
 		case FixedDefault, ValueDefault:
 			if v.opts.ApplyDefaults {
-				a := n.SetAttr(def.Name, def.Value)
+				// Absent, so appending is what SetAttr would do.
+				a := dom.NewAttr(def.Name, def.Value)
+				a.Parent = n
 				a.Defaulted = true
+				n.Attrs = append(n.Attrs, a)
 			}
 		}
 	}

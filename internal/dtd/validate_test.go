@@ -4,8 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
-
+	"xmlsec/internal/workload"
 	"xmlsec/internal/xmlparse"
 )
 
@@ -151,4 +152,30 @@ func TestValidateNoRoot(t *testing.T) {
 	res.Doc.Node.RemoveChild(res.Doc.DocumentElement())
 	errs := d.Validate(res.Doc, dtd.ValidateOptions{})
 	expectErr(t, errs, "no root element")
+}
+
+// TestValidateAllocBudget pins that validation allocates less than once
+// per element on the benchmark document shape (depth 4, fanout 5, two
+// attributes per element: 781 elements). Content models run on scratch
+// the validator reuses, and attribute lookups scan the declarations.
+func TestValidateAllocBudget(t *testing.T) {
+	cfg := workload.DocConfig{Depth: 4, Fanout: 5, Attrs: 2, Seed: 1}
+	doc := workload.GenDocument(cfg)
+	d := workload.GenDTD(cfg)
+	d.CompileAll()
+	elements := 0
+	doc.Walk(func(n *dom.Node) bool {
+		if n.Type == dom.ElementNode {
+			elements++
+		}
+		return true
+	})
+	allocs := testing.AllocsPerRun(10, func() {
+		if errs := d.Validate(doc, dtd.ValidateOptions{}); errs != nil {
+			t.Fatal(errs)
+		}
+	})
+	if allocs >= float64(elements) {
+		t.Errorf("Validate made %.0f allocations for %d elements, want fewer", allocs, elements)
+	}
 }

@@ -90,10 +90,13 @@ func LoadSiteDir(dir string) (*Site, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := loadFiles(filepath.Join(dir, "docs"), func(name, src string) error {
-		return site.Docs.AddDocument(name, src)
-	}); err != nil {
-		return nil, err
+	docsDir := filepath.Join(dir, "docs")
+	names, srcs, readErr := readFiles(docsDir)
+	if i, err := site.Docs.addDocuments(names, srcs); err != nil {
+		return nil, fmt.Errorf("%s/%s: %w", docsDir, names[i], err)
+	}
+	if readErr != nil {
+		return nil, readErr
 	}
 	if err := loadFiles(filepath.Join(dir, "xacl"), func(name, src string) error {
 		_, err := site.LoadXACL(src)
@@ -129,8 +132,22 @@ func loadConf(path string, fn func(line string) error) error {
 // directory, keyed by its path relative to the directory, in sorted
 // order for determinism.
 func loadFiles(dir string, fn func(name, src string) error) error {
-	var names []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+	names, srcs, readErr := readFiles(dir)
+	for i, name := range names {
+		if err := fn(name, srcs[i]); err != nil {
+			return fmt.Errorf("%s/%s: %w", dir, name, err)
+		}
+	}
+	return readErr
+}
+
+// readFiles reads every regular file under an optional directory, in
+// sorted order of its path relative to the directory. On a read error
+// it returns the files before the failing one along with the error, so
+// a caller that applies them first reports errors in the order a
+// file-at-a-time load would.
+func readFiles(dir string) (names, srcs []string, err error) {
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -144,22 +161,20 @@ func loadFiles(dir string, fn func(name, src string) error) error {
 		return nil
 	})
 	if os.IsNotExist(err) {
-		return nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	for i, name := range names {
 		b, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(name)))
 		if err != nil {
-			return err
+			return names[:i], srcs, err
 		}
-		if err := fn(name, string(b)); err != nil {
-			return fmt.Errorf("%s/%s: %w", dir, name, err)
-		}
+		srcs = append(srcs, string(b))
 	}
-	return nil
+	return names, srcs, nil
 }
 
 func splitList(s string) []string {

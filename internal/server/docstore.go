@@ -2,8 +2,10 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
@@ -110,13 +112,22 @@ func (s *DocStore) AddDocument(uri, source string) error {
 // registered DTDs without committing it, so callers can make the
 // registration durable between validation and the in-memory commit.
 func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
+	return prepareDocumentWith(s.loader(), uri, source)
+}
+
+// loader returns a snapshot of the registered DTD sources, the closed
+// world a document's external subset resolves in.
+func (s *DocStore) loader() xmlparse.MapLoader {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	loader := make(xmlparse.MapLoader, len(s.srcs))
 	for u, src := range s.srcs {
 		loader[u] = src
 	}
-	s.mu.RUnlock()
+	return loader
+}
 
+func prepareDocumentWith(loader xmlparse.MapLoader, uri, source string) (*StoredDoc, error) {
 	res, err := xmlparse.Parse(source, xmlparse.Options{Loader: loader, ApplyDefaults: true})
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", uri, err)
@@ -133,6 +144,37 @@ func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
 		}
 	}
 	return sd, nil
+}
+
+// addDocuments registers a batch of documents, sorted by URI, with the
+// effect of calling AddDocument on each in order: the documents are
+// parsed and validated on up to GOMAXPROCS workers, then committed one
+// at a time in order, each advancing the generation. On failure the
+// documents before the first failing one stay committed, and its index
+// and error are returned.
+func (s *DocStore) addDocuments(uris, sources []string) (int, error) {
+	loader := s.loader()
+	prepared := make([]*StoredDoc, len(uris))
+	errs := make([]error, len(uris))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(uris)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(uris); i = int(next.Add(1)) - 1 {
+				prepared[i], errs[i] = prepareDocumentWith(loader, uris[i], sources[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, sd := range prepared {
+		if errs[i] != nil {
+			return i, errs[i]
+		}
+		s.commitDocument(sd)
+	}
+	return -1, nil
 }
 
 // commitDocument installs a prepared document.

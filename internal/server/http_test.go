@@ -211,6 +211,28 @@ func TestHTTPUpdateTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPUpdateTooDeep pins the nesting bound on PUT bodies: a 14 MB
+// body of two million nested elements fits the size limit, and before
+// xmlparse.MaxDepth it overflowed the parser's stack and killed the
+// process. It is a 422 now, and the site keeps serving.
+func TestHTTPUpdateTooDeep(t *testing.T) {
+	site := labSite(t)
+	h := site.Handler()
+	const levels = 2_000_000
+	body := strings.Repeat("<a>", levels) + strings.Repeat("</a>", levels)
+	req := httptest.NewRequest(http.MethodPut, "/docs/CSlab.xml", strings.NewReader(body))
+	req.RemoteAddr = "130.100.50.8:40000"
+	req.SetBasicAuth("Tom", "pw-tom")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "nesting exceeds") {
+		t.Errorf("2M-level PUT: HTTP %d %.200q, want 422 naming the depth bound", rec.Code, rec.Body.String())
+	}
+	if code, _ := get(t, h, "/docs/CSlab.xml", "Tom", "pw-tom", "130.100.50.8"); code != http.StatusOK {
+		t.Errorf("GET after the deep PUT: HTTP %d, want 200", code)
+	}
+}
+
 // TestHTTPQueryErrors pins the query error mapping: malformed XPath and
 // expressions that cannot select nodes (count(), string(), arithmetic)
 // are 400 with the compiler's message, an evaluation over its node-visit

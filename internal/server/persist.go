@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -479,7 +480,15 @@ func (s *Site) captureSnapshot() ([]byte, error) {
 	for uri, p := range s.Engine.Policies() {
 		st.Policies[uri] = policyState{Conflict: p.Conflict.String(), Open: p.Open}
 	}
-	return json.Marshal(st)
+	// Sources are mostly markup: with HTML escaping each '<', '>' and
+	// '&' would cost six bytes. Decoding reads either form.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(st); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
 }
 
 // restoreSnapshot replaces the site's mutable state with a snapshot's.
@@ -497,10 +506,13 @@ func (s *Site) restoreSnapshot(payload []byte) error {
 			return err
 		}
 	}
-	for _, uri := range sortedKeys(st.Docs) {
-		if err := s.Docs.AddDocument(uri, st.Docs[uri]); err != nil {
-			return err
-		}
+	uris := sortedKeys(st.Docs)
+	srcs := make([]string, len(uris))
+	for i, uri := range uris {
+		srcs[i] = st.Docs[uri]
+	}
+	if _, err := s.Docs.addDocuments(uris, srcs); err != nil {
+		return err
 	}
 	for _, src := range st.XACLs {
 		x, err := authz.ParseXACL(src)

@@ -96,6 +96,20 @@ type Options struct {
 // document's entity usage, far below an amplification attack's output.
 const defaultMaxEntityExpansion = 1 << 20
 
+// MaxDepth is the deepest element nesting a document may have; deeper
+// input is a SyntaxError. Elements parse recursively, so without a
+// bound a body of nested start tags costs stack in proportion to its
+// size (about a kilobyte per level) and a 16 MiB body overflows it.
+// Ten thousand levels need about 9 MB of stack, far beyond any
+// document the paper's model describes.
+const MaxDepth = 10000
+
+// attrScanMax is the number of attributes per element (or attribute
+// declarations per element type) up to which name lookups scan a
+// slice; beyond it they go through a map built once, so an element
+// with many attributes costs linear time, not quadratic.
+const attrScanMax = 8
+
 // Result carries everything a parse produces.
 type Result struct {
 	// Doc is the document tree, renumbered in document order. It is
@@ -117,7 +131,7 @@ type Result struct {
 // mark is accepted and skipped.
 func Parse(input string, opts Options) (*Result, error) {
 	input = strings.TrimPrefix(input, "\xef\xbb\xbf")
-	p := &parser{src: input, line: 1, col: 1, opts: opts}
+	p := &parser{src: input, opts: opts}
 	p.entBudget = p.maxEntityExpansion()
 	return p.document()
 }
@@ -145,11 +159,14 @@ func ParseFile(path string, opts Options) (*Result, error) {
 }
 
 type parser struct {
+	// src is the input, with markup-bearing entity replacement text
+	// spliced in at the point of reference. Everything before pos has
+	// been consumed; positions in errors are computed from that prefix.
 	src       string
 	pos       int
-	line, col int
 	opts      Options
 	dtd       *dtd.DTD
+	depth     int // open elements
 	entDepth  int
 	entBudget int // remaining entity-expansion bytes
 }
@@ -172,8 +189,17 @@ func (p *parser) maxEntityExpansion() int {
 	return defaultMaxEntityExpansion
 }
 
+// errf builds a SyntaxError at the current position. The line and
+// column are counted from the consumed prefix only here, so scanning
+// never maintains them: lines are 1-based and split at LF, and the
+// column counts bytes from the start of the line, 1-based.
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
+	done := p.src[:p.pos]
+	return &SyntaxError{
+		Line: 1 + strings.Count(done, "\n"),
+		Col:  len(done) - strings.LastIndexByte(done, '\n'),
+		Msg:  fmt.Sprintf(format, args...),
+	}
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -185,17 +211,9 @@ func (p *parser) peek() byte {
 	return p.src[p.pos]
 }
 
-// advance moves n bytes forward, maintaining the line/col counters.
+// advance moves n bytes forward, stopping at the end of the input.
 func (p *parser) advance(n int) {
-	for i := 0; i < n && p.pos < len(p.src); i++ {
-		if p.src[p.pos] == '\n' {
-			p.line++
-			p.col = 1
-		} else {
-			p.col++
-		}
-		p.pos++
-	}
+	p.pos = min(p.pos+n, len(p.src))
 }
 
 func (p *parser) hasPrefix(s string) bool {
@@ -225,17 +243,15 @@ func snippet(s string) string {
 }
 
 func (p *parser) skipWS() bool {
-	any := false
-	for !p.eof() {
-		switch p.src[p.pos] {
-		case ' ', '\t', '\r', '\n':
-			p.advance(1)
-			any = true
-		default:
-			return any
-		}
+	start := p.pos
+	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
+		p.pos++
 	}
-	return any
+	return p.pos > start
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
 func isNameStart(r rune) bool {
@@ -246,21 +262,40 @@ func isNameRune(r rune) bool {
 	return isNameStart(r) || r == '-' || r == '.' || unicode.IsDigit(r)
 }
 
+// isASCIINameByte is isNameStart (first) or isNameRune for an ASCII
+// byte.
+func isASCIINameByte(c byte, first bool) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':':
+		return true
+	case '0' <= c && c <= '9', c == '-', c == '.':
+		return !first
+	}
+	return false
+}
+
+// name reads a Name. ASCII bytes are classified directly; from the
+// first non-ASCII byte on, runes are decoded and classified by the
+// unicode tables.
 func (p *parser) name() (string, error) {
-	start := p.pos
-	r, size := utf8.DecodeRuneInString(p.src[p.pos:])
-	if size == 0 || !isNameStart(r) {
+	start, i := p.pos, p.pos
+	for i < len(p.src) && p.src[i] < utf8.RuneSelf && isASCIINameByte(p.src[i], i == start) {
+		i++
+	}
+	if i < len(p.src) && p.src[i] >= utf8.RuneSelf {
+		for i < len(p.src) {
+			r, size := utf8.DecodeRuneInString(p.src[i:])
+			if i == start && !isNameStart(r) || i > start && !isNameRune(r) {
+				break
+			}
+			i += size
+		}
+	}
+	if i == start {
 		return "", p.errf("expected name")
 	}
-	p.advance(size)
-	for !p.eof() {
-		r, size = utf8.DecodeRuneInString(p.src[p.pos:])
-		if !isNameRune(r) {
-			break
-		}
-		p.advance(size)
-	}
-	return p.src[start:p.pos], nil
+	p.pos = i
+	return p.src[start:i], nil
 }
 
 // document parses the whole document entity.
@@ -312,14 +347,24 @@ func (p *parser) document() (*Result, error) {
 
 // applyDefaults adds DTD-defaulted attributes without validating.
 func applyDefaults(d *dtd.DTD, n *dom.Node) {
-	for _, def := range d.Attlists[n.Name] {
+	defs := d.Attlists[n.Name]
+	// Past attrScanMax on either side, the present names are indexed
+	// once instead of scanned per declaration.
+	var present map[string]bool
+	if len(defs) > attrScanMax || len(n.Attrs) > attrScanMax {
+		present = make(map[string]bool, len(n.Attrs))
+		for _, a := range n.Attrs {
+			present[a.Name] = true
+		}
+	}
+	for _, def := range defs {
 		if def.Default != dtd.ValueDefault && def.Default != dtd.FixedDefault {
 			continue
 		}
-		if _, present := n.Attr(def.Name); !present {
-			a := n.SetAttr(def.Name, def.Value)
-			a.Defaulted = true
+		if present[def.Name] || present == nil && n.AttrNode(def.Name) != nil {
+			continue
 		}
+		appendAttr(n, def.Name, def.Value).Defaulted = true
 	}
 	for _, c := range n.Children {
 		if c.Type == dom.ElementNode {
@@ -521,6 +566,9 @@ func (p *parser) doctype(doc *dom.Document) error {
 
 // element parses an element and its content, starting at '<'.
 func (p *parser) element() (*dom.Node, error) {
+	if p.depth == MaxDepth {
+		return nil, p.errf("element nesting exceeds %d levels", MaxDepth)
+	}
 	if err := p.expect("<"); err != nil {
 		return nil, err
 	}
@@ -529,14 +577,19 @@ func (p *parser) element() (*dom.Node, error) {
 		return nil, err
 	}
 	el := dom.NewElement(name)
-	seen := map[string]bool{}
+	// Duplicate attributes are found by scanning el.Attrs until the
+	// element has attrScanMax of them, then through seen.
+	var seen map[string]bool
 	for {
 		had := p.skipWS()
 		switch {
 		case p.consume("/>"):
 			return el, nil
 		case p.consume(">"):
-			if err := p.content(el); err != nil {
+			p.depth++
+			err := p.content(el)
+			p.depth--
+			if err != nil {
 				return nil, err
 			}
 			return el, p.endTag(name)
@@ -548,10 +601,21 @@ func (p *parser) element() (*dom.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if seen[aname] {
+			if seen == nil && len(el.Attrs) == attrScanMax {
+				seen = make(map[string]bool, 2*attrScanMax)
+				for _, a := range el.Attrs {
+					seen[a.Name] = true
+				}
+			}
+			dup := seen[aname]
+			if seen != nil {
+				seen[aname] = true
+			} else {
+				dup = el.AttrNode(aname) != nil
+			}
+			if dup {
 				return nil, p.errf("duplicate attribute %q on element %q", aname, name)
 			}
-			seen[aname] = true
 			p.skipWS()
 			if err := p.expect("="); err != nil {
 				return nil, err
@@ -561,9 +625,19 @@ func (p *parser) element() (*dom.Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			el.SetAttr(aname, aval)
+			appendAttr(el, aname, aval)
 		}
 	}
+}
+
+// appendAttr attaches a new attribute to el. Callers have checked that
+// el has no attribute of that name, which is what SetAttr would scan
+// for.
+func appendAttr(el *dom.Node, name, value string) *dom.Node {
+	a := dom.NewAttr(name, value)
+	a.Parent = el
+	el.Attrs = append(el.Attrs, a)
+	return a
 }
 
 func (p *parser) endTag(name string) error {
@@ -589,6 +663,19 @@ func (p *parser) attValue() (string, error) {
 		return "", p.errf("expected quoted attribute value")
 	}
 	p.advance(1)
+	// A value without references, '<' or whitespace to normalize is
+	// the input itself.
+	start := p.pos
+scan:
+	for i := start; i < len(p.src); i++ {
+		switch p.src[i] {
+		case q:
+			p.pos = i + 1
+			return p.src[start:i], nil
+		case '&', '<', '\t', '\n', '\r':
+			break scan
+		}
+	}
 	var b strings.Builder
 	for {
 		if p.eof() {
@@ -746,14 +833,10 @@ func (p *parser) expandEntityText(s string, depth int) (string, error) {
 
 // content parses element content until the matching end tag.
 func (p *parser) content(el *dom.Node) error {
-	var text strings.Builder
+	var text textRun
 	flush := func() {
-		if text.Len() == 0 {
-			return
-		}
-		s := text.String()
-		text.Reset()
-		if !p.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
+		s := text.take()
+		if s == "" || !p.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
 			return
 		}
 		el.AppendChild(dom.NewText(s))
@@ -762,54 +845,103 @@ func (p *parser) content(el *dom.Node) error {
 		if p.eof() {
 			return p.errf("unexpected end of input inside element %q", el.Name)
 		}
-		switch {
-		case p.hasPrefix("</"):
-			flush()
-			return nil
-		case p.hasPrefix("<!--"):
-			flush()
-			c, err := p.comment()
-			if err != nil {
-				return err
+		switch p.src[p.pos] {
+		case '<':
+			var next byte
+			if p.pos+1 < len(p.src) {
+				next = p.src[p.pos+1]
 			}
-			if p.opts.KeepComments {
-				el.AppendChild(c)
+			switch {
+			case next == '/':
+				flush()
+				return nil
+			case next == '!' && p.hasPrefix("<!--"):
+				flush()
+				c, err := p.comment()
+				if err != nil {
+					return err
+				}
+				if p.opts.KeepComments {
+					el.AppendChild(c)
+				}
+			case next == '!' && p.hasPrefix("<![CDATA["):
+				cd, err := p.cdata()
+				if err != nil {
+					return err
+				}
+				flush()
+				el.AppendChild(cd)
+			case next == '?':
+				flush()
+				pi, err := p.procInst()
+				if err != nil {
+					return err
+				}
+				el.AppendChild(pi)
+			default:
+				flush()
+				child, err := p.element()
+				if err != nil {
+					return err
+				}
+				el.AppendChild(child)
 			}
-		case p.hasPrefix("<![CDATA["):
-			cd, err := p.cdata()
-			if err != nil {
-				return err
-			}
-			flush()
-			el.AppendChild(cd)
-		case p.hasPrefix("<?"):
-			flush()
-			pi, err := p.procInst()
-			if err != nil {
-				return err
-			}
-			el.AppendChild(pi)
-		case p.peek() == '<':
-			flush()
-			child, err := p.element()
-			if err != nil {
-				return err
-			}
-			el.AppendChild(child)
-		case p.peek() == '&':
+		case '&':
 			s, err := p.reference(false)
 			if err != nil {
 				return err
 			}
-			text.WriteString(s)
+			text.add(s)
 		default:
-			if p.hasPrefix("]]>") {
-				return p.errf("']]>' not allowed in content")
+			// A run of character data ends at markup or a reference;
+			// ']' only matters as the start of "]]>".
+			start, i := p.pos, p.pos
+			for ; i < len(p.src); i++ {
+				c := p.src[i]
+				if c == '<' || c == '&' {
+					break
+				}
+				if c == ']' && strings.HasPrefix(p.src[i:], "]]>") {
+					p.pos = i
+					return p.errf("']]>' not allowed in content")
+				}
 			}
-			text.WriteByte(p.peek())
-			p.advance(1)
+			p.pos = i
+			text.add(p.src[start:i])
 		}
 	}
+}
+
+// textRun accumulates the character data of one text node. Data that
+// is a single run of the input stays a substring of it; only data
+// joined across references is copied.
+type textRun struct {
+	s string          // the data, while it is one run
+	b strings.Builder // the data, once joined
+}
+
+func (t *textRun) add(s string) {
+	switch {
+	case s == "":
+	case t.b.Len() > 0:
+		t.b.WriteString(s)
+	case t.s == "":
+		t.s = s
+	default:
+		t.b.WriteString(t.s)
+		t.b.WriteString(s)
+	}
+}
+
+// take returns the accumulated data and empties the run.
+func (t *textRun) take() string {
+	s := t.s
+	if t.b.Len() > 0 {
+		s = t.b.String()
+		t.b.Reset()
+	}
+	t.s = ""
+	return s
 }
 
 func (p *parser) comment() (*dom.Node, error) {

@@ -1,6 +1,7 @@
 package xmlparse
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -238,20 +239,57 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestErrorPositions pins where errors are reported. Lines split at
+// LF; the column counts bytes, not characters, from 1; and text an
+// entity reference splices into the input counts as if it were there.
 func TestErrorPositions(t *testing.T) {
-	_, err := Parse("<a>\n  <b>\n</a>", Options{})
-	if err == nil {
-		t.Fatal("expected error")
+	cases := []struct {
+		name, src string
+		line, col int
+		msg       string
+	}{
+		{"mismatched end tag", "<a>\n  <b>\n</a>", 3, 4, "mismatched end tag: expected </b>, got </a>"},
+		{"after multi-byte characters", "<a>éé<</a>", 1, 9, "expected name"},
+		{"after CRLF", "<a>\r\n<b>\r\n</a>", 3, 4, "mismatched end tag: expected </b>, got </a>"},
+		{"inside a splice with newlines", `<!DOCTYPE a [<!ENTITY e "x&#10;<b>&#10;">]><a>&e;</a>`, 3, 4,
+			"mismatched end tag: expected </b>, got </a>"},
+		{"after newlines in the subset and the splice", "<!DOCTYPE a [<!ENTITY e \"x\n<b>\n\">]><a>&e;</a>", 5, 4,
+			"mismatched end tag: expected </b>, got </a>"},
+		{"at EOF", "<a>\n<b>", 2, 4, `unexpected end of input inside element "b"`},
+		{"in an attribute value", "<a x='1\n2' y='é<'/>", 2, 9, "'<' not allowed in attribute value"},
+		{"after the document element", "<a>\n<b/></a>\n<c/>", 3, 1, `content after document element: "<c/>"`},
 	}
+	for _, c := range cases {
+		_, err := Parse(c.src, Options{})
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Errorf("%s: want *SyntaxError, got %T (%v)", c.name, err, err)
+			continue
+		}
+		if se.Line != c.line || se.Col != c.col || se.Msg != c.msg {
+			t.Errorf("%s: got line %d col %d %q, want line %d col %d %q",
+				c.name, se.Line, se.Col, se.Msg, c.line, c.col, c.msg)
+		}
+		if want := fmt.Sprintf("line %d col %d", c.line, c.col); !strings.Contains(se.Error(), want) {
+			t.Errorf("%s: Error() should mention %q: %v", c.name, want, se)
+		}
+	}
+}
+
+// TestMaxDepth pins the nesting bound: MaxDepth levels parse, one more
+// is a SyntaxError at the start tag that exceeds it.
+func TestMaxDepth(t *testing.T) {
+	nest := func(n int) string { return strings.Repeat("<a>", n) + strings.Repeat("</a>", n) }
+	if _, err := Parse(nest(MaxDepth), Options{}); err != nil {
+		t.Fatalf("%d levels: %v", MaxDepth, err)
+	}
+	_, err := Parse(nest(MaxDepth+1), Options{})
 	se, ok := err.(*SyntaxError)
 	if !ok {
-		t.Fatalf("want *SyntaxError, got %T", err)
+		t.Fatalf("%d levels: want *SyntaxError, got %T (%v)", MaxDepth+1, err, err)
 	}
-	if se.Line != 3 {
-		t.Errorf("error line = %d, want 3 (%v)", se.Line, err)
-	}
-	if !strings.Contains(se.Error(), "line 3") {
-		t.Errorf("Error() should mention the line: %v", se)
+	if se.Line != 1 || se.Col != 3*MaxDepth+1 || !strings.Contains(se.Msg, "nesting exceeds") {
+		t.Errorf("%d levels: %v, want the depth bound at col %d", MaxDepth+1, se, 3*MaxDepth+1)
 	}
 }
 
