@@ -16,9 +16,7 @@ import (
 // view + unparse), measured with the standard library benchmark harness
 // so allocation costs are visible: the pipeline labels the shared
 // document in place, derives a visibility bitmask, and serializes
-// straight through the mask. BENCH_view.json also holds "clone" rows
-// recorded against the clone-label-prune pipeline, which no longer
-// exists; this experiment does not produce them.
+// straight through the mask.
 
 // viewBenchResult is one measured (case, pipeline) cell, and the record
 // format of BENCH_view.json.
@@ -52,6 +50,7 @@ func expView() error {
 	sizes := []workload.DocConfig{
 		{Depth: 3, Fanout: 4, Attrs: 2, Seed: 11},
 		{Depth: 4, Fanout: 5, Attrs: 2, Seed: 12},
+		{Depth: 5, Fanout: 5, Attrs: 2, Seed: 13},
 	}
 	if quick {
 		sizes = sizes[:1]
@@ -64,6 +63,9 @@ func expView() error {
 			Seed:              dc.Seed * 31,
 		}.Norm()
 		doc := workload.GenDocument(dc)
+		// Served documents carry their arena (the parser builds it); a
+		// generated one would otherwise be flattened on every call.
+		doc.BuildArena()
 		inst, schema := workload.GenAuths(cfg)
 		store := authz.NewStore()
 		if err := store.AddAll(authz.InstanceLevel, inst); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -175,7 +176,8 @@ func (r Request) action() string {
 type Stats struct {
 	// Nodes is the number of elements and attributes in the document.
 	Nodes int
-	// Plus, Minus, Eps count the final labels.
+	// Plus, Minus, Eps count the final labels of the elements and
+	// attributes (ComputeView only; see Label).
 	Plus, Minus, Eps int
 	// Kept is the number of elements and attributes in the view.
 	Kept int
@@ -258,11 +260,12 @@ func (v *View) Materialize() *dom.Document {
 // and computes the view. The input document is never modified.
 //
 // The view is virtual: the shared document is labeled in place (labels
-// live in a dense per-request slice, not on the tree) and the
+// live in a sparse per-request Labeling, not on the tree) and the
 // transformation step produces a visibility mask instead of a pruned
 // copy — set-at-a-time labeling with zero per-request tree allocation,
 // the shape the paper's "fast on-line computation" claim (Section 6,
-// E5) asks for. Labeling and masking sweep the document's arena.
+// E5) asks for. Labeling and masking cost what the applicable
+// authorizations name, not the document's size.
 //
 // The document must have been renumbered (the parser does this) and is
 // treated as immutable for the lifetime of the returned view.
@@ -276,20 +279,22 @@ func (e *Engine) ComputeView(req Request, doc *dom.Document) (*View, error) {
 // effectiveness and label counts when ctx is traced.
 func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Document) (*View, error) {
 	lctx, tm := trace.StartStage(ctx, obs.StageLabel)
-	lb, stats, err := e.labelCtx(lctx, req, doc)
+	lb, stats, err := e.LabelCtx(lctx, req, doc)
 	if err != nil {
 		return nil, err
 	}
 	tm.End()
-	if tm.Traced() {
-		tm.Lazyf("%d nodes: %d+, %d-, %de (auths: %d instance, %d schema)",
-			stats.Nodes, stats.Plus, stats.Minus, stats.Eps, stats.AuthsInstance, stats.AuthsSchema)
-	}
 	pol := e.PolicyFor(req.URI)
-	tm = trace.StartStageChild(ctx, obs.StagePrune)
-	mask, kept := Visibility(doc, lb, pol)
-	tm.End()
-	stats.Kept = kept
+	ptm := trace.StartStageChild(ctx, obs.StagePrune)
+	mask, kept, signs := visibility(doc.ReadArena(), lb, pol)
+	ptm.End()
+	// The sign counts come out of the sweep, which visits every
+	// unlabeled range anyway.
+	stats.Plus, stats.Minus, stats.Eps, stats.Kept = signs.plus, signs.minus, signs.eps, kept
+	if tm.Traced() {
+		tm.Lazyf("%d nodes, %d labeled: %d+, %d-, %de (auths: %d instance, %d schema)",
+			stats.Nodes, lb.Stored(), stats.Plus, stats.Minus, stats.Eps, stats.AuthsInstance, stats.AuthsSchema)
+	}
 	if card := trace.CostFromContext(ctx); card != nil {
 		card.NodesSwept += int64(stats.Nodes)
 		card.NodesKept += int64(kept)
@@ -300,32 +305,24 @@ func (e *Engine) ComputeViewCtx(ctx context.Context, req Request, doc *dom.Docum
 // Label runs only the tree-labeling step on doc (in place with respect
 // to labels; the tree is not modified), returning the labeling and
 // statistics. Exposed separately so benchmarks and diagnostic tools can
-// separate labeling cost from pruning cost.
+// separate labeling cost from pruning cost. The labeling step stores
+// only what the authorizations name, so the Stats' sign counts stay
+// zero: ComputeView counts them in its sweep, Labeling.Count on demand.
 func (e *Engine) Label(req Request, doc *dom.Document) (*Labeling, Stats, error) {
-	return e.labelCtx(context.Background(), req, doc)
+	return e.LabelCtx(context.Background(), req, doc)
 }
 
 // LabelCtx is Label under a (possibly traced) context; node-set-index
 // fills triggered by the labeling appear as child spans of the
 // context's current span.
 func (e *Engine) LabelCtx(ctx context.Context, req Request, doc *dom.Document) (*Labeling, Stats, error) {
-	return e.labelCtx(ctx, req, doc)
-}
-
-func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (*Labeling, Stats, error) {
 	axml, adtd, err := e.applicable(req)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	pol := e.PolicyFor(req.URI)
 	ar := doc.ReadArena()
-	n := ar.Len()
-	l := &labeler{
-		h:     e.Hierarchy,
-		rule:  pol.Conflict,
-		byIdx: make([]*nodeAuths, n),
-		out:   newLabeling(n),
-	}
+	l := &labeler{h: e.Hierarchy, rule: pol.Conflict, ar: ar, out: &Labeling{ar: ar}}
 	// Set-at-a-time object evaluation: each authorization's path
 	// expression runs once per request, not once per node — the heart of
 	// the paper's "fast on-line computation" claim (E5 measures it
@@ -333,8 +330,8 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 	// the path runs once per (document, store generation) instead: the
 	// cached dense index set is intersected with the per-request subject
 	// filter already applied by applicable(), so the steady state does
-	// zero XPath work. Either way collection stays in index space: the
-	// arena knows each index's kind, so no tree node is touched.
+	// zero XPath work. Either way collection stays in index space, and
+	// no tree node is touched.
 	idx := e.AuthIndex()
 	var gen uint64
 	if idx != nil {
@@ -345,7 +342,10 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 	// index itself); plain ints, so untraced requests pay nothing.
 	sp := trace.SpanFromContext(ctx)
 	var idxHits, idxMisses int
-	collect := func(a *authz.Authorization, schema bool) error {
+	// Each naming is one key, node index above position in l.auths,
+	// so one sort of plain integers orders them by node.
+	l.auths, l.schemaFrom = append(axml, adtd...), len(axml)
+	for pos, a := range l.auths {
 		var set []int32
 		var err error
 		if idx != nil {
@@ -360,43 +360,24 @@ func (e *Engine) labelCtx(ctx context.Context, req Request, doc *dom.Document) (
 			set, err = a.SelectIndexesCtx(ctx, doc)
 		}
 		if err != nil {
-			return fmt.Errorf("core: evaluating %s: %w", a, err)
+			return nil, Stats{}, fmt.Errorf("core: evaluating %s: %w", a, err)
 		}
+		// The set holds elements and attributes only.
 		for _, i := range set {
-			l.addIdx(int(i), ar.Kind(i) == dom.AttributeNode, a, schema)
-		}
-		return nil
-	}
-	for _, a := range axml {
-		if err := collect(a, false); err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	for _, a := range adtd {
-		if err := collect(a, true); err != nil {
-			return nil, Stats{}, err
+			l.hits = append(l.hits, uint64(i)<<32|uint64(pos))
 		}
 	}
 	if sp.Traced() && idx != nil {
 		sp.Lazyf("authindex: %d hits, %d misses", idxHits, idxMisses)
 	}
-	root := ar.DocumentElement()
-	if root < 0 {
-		return l.out, Stats{}, nil
-	}
-	l.labelElementIdx(ar, root, nil)
+	l.label()
 	stats := Stats{
 		Nodes:         ar.CountElemAttrs(),
 		AuthsInstance: len(axml),
 		AuthsSchema:   len(adtd),
 	}
-	// One pass over the dense labeling derives all three counts; the
-	// preorder visit labels every element and attribute under the
-	// document element, which is exactly what Nodes counts, so the
-	// counts are consistent by construction.
-	stats.Plus, stats.Minus, stats.Eps = l.out.Count()
 	if card := trace.CostFromContext(ctx); card != nil {
-		card.NodesLabeled += int64(stats.Nodes)
+		card.NodesLabeled += int64(l.out.Stored())
 		card.AuthIndexHits += int64(idxHits)
 		card.AuthIndexMisses += int64(idxMisses)
 	}
@@ -412,22 +393,33 @@ func (e *Engine) applicable(req Request) (axml, adtd []*authz.Authorization, err
 	if at.IsZero() {
 		at = time.Now()
 	}
+	// The requester is converted to its ASH element on the first check
+	// only, so a document with no authorizations never parses it.
+	var covers func(subjects.Subject) bool
+	keep := func(a *authz.Authorization) (bool, error) {
+		if covers == nil {
+			if covers, err = e.Hierarchy.Applicable(req.Requester); err != nil {
+				return false, err
+			}
+		}
+		return covers(a.Subject) && a.Action == req.action() && a.ActiveAt(at), nil
+	}
 	for _, a := range e.Store.ForDocument(req.URI) {
-		ok, err := e.Hierarchy.AppliesTo(a.Subject, req.Requester)
+		ok, err := keep(a)
 		if err != nil {
 			return nil, nil, err
 		}
-		if ok && a.Action == req.action() && a.ActiveAt(at) {
+		if ok {
 			axml = append(axml, a)
 		}
 	}
 	if req.DTDURI != "" {
 		for _, a := range e.Store.ForSchema(req.DTDURI) {
-			ok, err := e.Hierarchy.AppliesTo(a.Subject, req.Requester)
+			ok, err := keep(a)
 			if err != nil {
 				return nil, nil, err
 			}
-			if ok && a.Action == req.action() && a.ActiveAt(at) {
+			if ok {
 				adtd = append(adtd, a)
 			}
 		}
@@ -435,7 +427,8 @@ func (e *Engine) applicable(req Request) (axml, adtd []*authz.Authorization, err
 	return axml, adtd, nil
 }
 
-// nodeAuths collects, per node, the applicable authorizations by slot.
+// nodeAuths collects the applicable authorizations that name one node,
+// by slot.
 type nodeAuths struct {
 	// instance[t] holds instance-level authorizations of type t.
 	instance [4][]*authz.Authorization
@@ -444,25 +437,115 @@ type nodeAuths struct {
 	dtdLocal, dtdRec []*authz.Authorization
 }
 
+// labeler runs Figure 2's labeling over the named nodes only.
 type labeler struct {
-	h     subjects.Hierarchy
-	rule  ConflictRule
-	byIdx []*nodeAuths // node index → collected authorizations
-	out   *Labeling
+	h          subjects.Hierarchy
+	rule       ConflictRule
+	ar         *dom.Arena
+	auths      []*authz.Authorization // instance level, then schema level
+	schemaFrom int                    // position of the first schema-level one
+	// hits holds one key per (node, authorization) naming: the node's
+	// index in the high 32 bits, the authorization's position in auths
+	// in the low ones. Sorted, they run in preorder.
+	hits []uint64
+	next int // first hit not yet consumed
+	own  nodeAuths
+	out  *Labeling
 }
 
-// addIdx records that authorization a protects the node at dense
-// preorder index i. On attribute nodes the recursive types collapse
-// into their local counterparts: an attribute is a leaf of the tree,
-// so R/RW slots "are always null for an attribute" (Section 6.1) and a
-// recursive authorization naming an attribute directly protects
-// exactly that attribute.
-func (l *labeler) addIdx(i int, isAttr bool, a *authz.Authorization, schema bool) {
-	na := l.byIdx[i]
-	if na == nil {
-		na = &nodeAuths{}
-		l.byIdx[i] = na
+// node returns the node index of hit h.
+func (l *labeler) node(h int) int32 { return int32(l.hits[h] >> 32) }
+
+// label stores the labels of the named nodes and their ancestor chains,
+// in preorder: O(named × depth) instead of a visit to every node. stack
+// holds the stored elements on the current chain; each named node
+// pushes the part of its chain the stack does not hold yet, top down,
+// so every parent label is final before its children take from it.
+func (l *labeler) label() {
+	ar := l.ar
+	slices.Sort(l.hits)
+	// Named nodes share most of their chains: twice the namings covers
+	// the chains in the common case, and append grows the rest.
+	l.out.idx = make([]int32, 0, min(2*len(l.hits)+32, l.ar.Len()))
+	l.out.labels = make([]Label, 0, cap(l.out.idx))
+	type frame struct {
+		k   int   // position of the element's label in l.out
+		end int32 // SubtreeEnd of the element
 	}
+	var stack []frame
+	var chain []int32
+	for l.next < len(l.hits) {
+		owner := l.node(l.next)
+		if ar.Kind(owner) == dom.AttributeNode {
+			owner = ar.Parent(owner)
+		}
+		for len(stack) > 0 && owner >= stack[len(stack)-1].end {
+			stack = stack[:len(stack)-1]
+		}
+		top := int32(0) // the document node
+		if len(stack) > 0 {
+			top = l.out.idx[stack[len(stack)-1].k]
+		}
+		chain = chain[:0]
+		for p := owner; p != top; p = ar.Parent(p) {
+			chain = append(chain, p)
+		}
+		for j := len(chain) - 1; j >= 0; j-- {
+			var parent Label // the document element inherits nothing
+			if len(stack) > 0 {
+				parent = l.out.labels[stack[len(stack)-1].k]
+			}
+			k := l.element(chain[j], parent)
+			// SubtreeEnd in O(1): the next sibling, else the parent's end.
+			end := ar.NextSibling(chain[j])
+			if end < 0 {
+				if len(stack) > 0 {
+					end = stack[len(stack)-1].end
+				} else {
+					end = ar.SubtreeEnd(chain[j])
+				}
+			}
+			stack = append(stack, frame{k: k, end: end})
+		}
+	}
+}
+
+// ownLabel computes the own 6-tuple of the node at index i from the
+// authorizations that name it (procedure initial_label of Figure 2),
+// consuming its hits. Hits are consumed in preorder, so i's hits, if
+// any, are the next ones.
+func (l *labeler) ownLabel(i int32) Label {
+	if l.next >= len(l.hits) || l.node(l.next) != i {
+		return Label{}
+	}
+	na := &l.own
+	for t := range na.instance {
+		na.instance[t] = na.instance[t][:0]
+	}
+	na.dtdLocal, na.dtdRec = na.dtdLocal[:0], na.dtdRec[:0]
+	isAttr := l.ar.Kind(i) == dom.AttributeNode
+	for ; l.next < len(l.hits) && l.node(l.next) == i; l.next++ {
+		pos := int(uint32(l.hits[l.next]))
+		l.addAuth(isAttr, l.auths[pos], pos >= l.schemaFrom)
+	}
+	return Label{
+		L:  l.signOf(na.instance[authz.Local]),
+		R:  l.signOf(na.instance[authz.Recursive]),
+		LW: l.signOf(na.instance[authz.LocalWeak]),
+		RW: l.signOf(na.instance[authz.RecursiveWeak]),
+		LD: l.signOf(na.dtdLocal),
+		RD: l.signOf(na.dtdRec),
+	}
+}
+
+// addAuth files authorization a under its slot for the node being
+// labeled. On attribute nodes the recursive types collapse into their
+// local counterparts: an attribute is a leaf of the tree, so R/RW slots
+// "are always null for an attribute" (Section 6.1) and a recursive
+// authorization naming an attribute directly protects exactly that
+// attribute.
+func (l *labeler) addAuth(isAttr bool, a *authz.Authorization, schema bool) {
+	na := &l.own
 	if schema {
 		if a.Type.IsRecursive() && !isAttr {
 			na.dtdRec = append(na.dtdRec, a)
@@ -506,28 +589,43 @@ func (l *labeler) signOf(auths []*authz.Authorization) Sign {
 	return l.rule.resolve(pos, neg)
 }
 
-// initialLabelIdx computes the own 6-tuple of the node at dense
-// preorder index i from the authorizations that name it (procedure
-// initial_label of Figure 2).
-func (l *labeler) initialLabelIdx(i int) *Label {
-	lab := l.out.atIndex(i)
-	if na := l.byIdx[i]; na != nil {
-		lab.L = l.signOf(na.instance[authz.Local])
-		lab.R = l.signOf(na.instance[authz.Recursive])
-		lab.LW = l.signOf(na.instance[authz.LocalWeak])
-		lab.RW = l.signOf(na.instance[authz.RecursiveWeak])
-		lab.LD = l.signOf(na.dtdLocal)
-		lab.RD = l.signOf(na.dtdRec)
+// element implements procedure label(n,p) for the element at arena
+// index i under its parent's propagated label p (the zero label for the
+// document element, which takes its own signs only; steps 4-6 of
+// compute-view): n's recursive slots take their own value when the node
+// carries a recursive authorization of either strength (most specific
+// object overrides) and the parent's propagated value otherwise; the
+// schema recursive slot propagates analogously; the final sign is the
+// first defined among instance-strong, schema, and weak values. It
+// stores the element's label, then those of its named attributes, and
+// returns the element's position in the labeling. Its other attributes
+// take their label from the element's alone (Labeling.lookup).
+// NaiveLabel is the independent reference this is tested against.
+func (l *labeler) element(i int32, p Label) int {
+	lab := l.ownLabel(i)
+	if lab.R == Epsilon && lab.RW == Epsilon {
+		lab.R = p.R
+		lab.RW = p.RW
 	}
-	return lab
+	lab.RD = FirstDef(lab.RD, p.RD)
+	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
+	k := len(l.out.idx)
+	l.out.add(i, lab)
+	// Every hit before i is consumed, so the next ones name attributes
+	// of i exactly while they lie below the end of its attribute range.
+	for _, e := l.ar.Attrs(i); l.next < len(l.hits) && l.node(l.next) < e; {
+		a := l.node(l.next)
+		l.out.add(a, attrLabel(l.ownLabel(a), lab))
+	}
+	return k
 }
 
-// labelAttrIdx implements label(n,p) for the attribute node at dense
-// preorder index i. Per Section 6.1 an attribute has no recursive
-// slots, and Local authorizations on the parent element propagate to
-// it. Within each priority channel the
-// order is: the attribute's own sign, then the parent's local sign,
-// then the recursive sign in force at the parent:
+// attrLabel implements label(n,p) for an attribute with own 6-tuple
+// own of an element labeled p. Per Section 6.1 an attribute has no
+// recursive slots, and Local authorizations on the parent element
+// propagate to it. Within each priority channel the order is: the
+// attribute's own sign, then the parent's local sign, then the
+// recursive sign in force at the parent:
 //
 //	instance-strong:  L_n,  else L_p,  else R_p
 //	schema:           LD_n, else LD_p, else RD_p
@@ -544,45 +642,13 @@ func (l *labeler) initialLabelIdx(i int) *Label {
 // work from; this reconstruction follows the prose of Sections 5 and
 // 6.1 and degenerates to the element rule's priorities in every case
 // both define. DESIGN.md records the reconstruction.)
-func (l *labeler) labelAttrIdx(i int, p *Label) {
-	lab := l.initialLabelIdx(i)
+func attrLabel(own, p Label) Label {
+	lab := own
 	if lab.L == Epsilon && lab.LW == Epsilon {
 		lab.L = FirstDef(p.L, p.R)
 		lab.LW = FirstDef(p.LW, p.RW)
 	}
 	lab.LD = FirstDef(lab.LD, p.LD, p.RD)
 	lab.Final = FirstDef(lab.L, lab.LD, lab.LW)
-}
-
-// labelElementIdx implements procedure label(n,p) for the element at
-// arena index i under propagated parent label p (nil for the root
-// element, which takes its own signs only; steps 4-6 of compute-view):
-// n's recursive slots take their own value when the node carries a
-// recursive authorization of either strength (most specific object
-// overrides) and the parent's propagated value otherwise; the schema
-// recursive slot propagates analogously; the final sign is the first
-// defined among instance-strong, schema, and weak values. The preorder
-// visit reads kind/firstChild/nextSibling/attr-range words from the
-// arena's parallel arrays, and labels land in the dense Labeling slice
-// by index. NaiveLabel is the independent reference it is tested
-// against.
-func (l *labeler) labelElementIdx(ar *dom.Arena, i int32, p *Label) {
-	lab := l.initialLabelIdx(int(i))
-	if p != nil {
-		if lab.R == Epsilon && lab.RW == Epsilon {
-			lab.R = p.R
-			lab.RW = p.RW
-		}
-		lab.RD = FirstDef(lab.RD, p.RD)
-	}
-	lab.Final = FirstDef(lab.L, lab.R, lab.LD, lab.RD, lab.LW, lab.RW)
-	s, e := ar.Attrs(i)
-	for a := s; a < e; a++ {
-		l.labelAttrIdx(int(a), lab)
-	}
-	for c := ar.FirstChild(i); c >= 0; c = ar.NextSibling(c) {
-		if ar.Kind(c) == dom.ElementNode {
-			l.labelElementIdx(ar, c, lab)
-		}
-	}
+	return lab
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"xmlsec/internal/authz"
 	"xmlsec/internal/dom"
 )
@@ -67,85 +70,131 @@ type Label struct {
 	Final Sign
 }
 
-// Labeling is the result of the tree-labeling step for one request: the
-// per-node labels, keyed by the node's dense preorder index
-// (dom.Node.Index, assigned by dom.Document.Renumber).
+// Labeling is the result of the tree-labeling step for one request,
+// addressed by the node's dense preorder index (dom.Node.Index, equal
+// to its arena index).
 //
-// The dense representation replaces the previous pointer-keyed map: one
-// flat []Label slice sized to the document, with a presence bitmask
-// marking the element/attribute indexes that were labeled. Lookups are
-// an array access, the per-request allocation is two contiguous blocks,
-// and the labeling of a shared read-only document never touches the
-// tree itself — the properties the mask-based view pipeline relies on.
+// It is sparse. Figure 2 gives a node that no applicable authorization
+// names no signs of its own: an element takes R, RD and RW from its
+// parent, and an attribute takes its signs from its element's label
+// alone. So a subtree holding no named node carries one final sign
+// throughout, FirstDef(R, RD, RW) of its nearest labeled ancestor.
+// Engine.Label therefore stores labels only for the named nodes and
+// their ancestor chains, in preorder, and Of/FinalAt derive the label
+// of any other element or attribute from its nearest stored ancestor.
+// The storage is O(named × depth), not O(document).
+//
+// The sweeps rely on the stored nodes being closed under parent: a
+// stored node's ancestors are stored. A complete labeling, one that
+// stores every element and attribute (NaiveLabel's), is too.
 //
 // A Labeling is only meaningful against the document (and numbering
 // generation) it was computed from.
 type Labeling struct {
-	labels  []Label
-	present dom.Bitmask
+	// ar answers for the nodes not stored; nil for a complete
+	// labeling, where an absent index is not an element or attribute.
+	ar     *dom.Arena
+	idx    []int32 // stored indexes, ascending
+	labels []Label // labels[k] is the label of idx[k]
 }
 
-// newLabeling returns an empty labeling for a document of n nodes.
-func newLabeling(n int) *Labeling {
-	return &Labeling{labels: make([]Label, n), present: dom.NewBitmask(n)}
+// add stores the label of index i; indexes must arrive in preorder.
+func (lb *Labeling) add(i int32, l Label) {
+	lb.idx = append(lb.idx, i)
+	lb.labels = append(lb.labels, l)
 }
 
-// at returns the (mutable) label slot for n, marking it present.
-func (lb *Labeling) at(n *dom.Node) *Label {
-	return lb.atIndex(n.Order)
-}
+// Stored returns the number of elements and attributes labeled one at
+// a time — the labeling's cost, which the request's cost card reports
+// as nodes_labeled. Every other element or attribute is answered from
+// its nearest stored ancestor.
+func (lb *Labeling) Stored() int { return len(lb.idx) }
 
-// atIndex returns the (mutable) label slot for the node at dense
-// preorder index i, marking it present — the addressing mode of the
-// arena label sweep.
-func (lb *Labeling) atIndex(i int) *Label {
-	lb.present.Set(i)
-	return &lb.labels[i]
-}
-
-// Of returns the label of n, or nil if n was not part of the labeled
-// document (or is not an element/attribute).
-func (lb *Labeling) Of(n *dom.Node) *Label {
-	if i := n.Order; i >= 0 && i < len(lb.labels) && lb.present.Get(i) {
-		return &lb.labels[i]
+// find returns the position of index i among the stored labels, or -1.
+func (lb *Labeling) find(i int32) int {
+	if k, ok := slices.BinarySearch(lb.idx, i); ok {
+		return k
 	}
-	return nil
+	return -1
+}
+
+// inherited is the final sign of every element without a label of its
+// own whose nearest stored ancestor carries l, and of its attributes.
+func (l *Label) inherited() Sign { return FirstDef(l.R, l.RD, l.RW) }
+
+// attrFinal is the final sign of an attribute of the element labeled l
+// that no authorization names.
+func (l *Label) attrFinal() Sign {
+	return FirstDef(FirstDef(l.L, l.R), FirstDef(l.LD, l.RD), FirstDef(l.LW, l.RW))
+}
+
+// lookup returns the label of the node at index i, stored or derived
+// from its nearest stored ancestor; ok is false for indexes that are
+// not elements or attributes of the document.
+func (lb *Labeling) lookup(i int) (lab *Label, ok bool) {
+	if i < 0 || i > math.MaxInt32 {
+		return nil, false
+	}
+	if k := lb.find(int32(i)); k >= 0 {
+		return &lb.labels[k], true
+	}
+	ar := lb.ar
+	if ar == nil || i >= ar.Len() {
+		return nil, false
+	}
+	kind := ar.Kind(int32(i))
+	if kind == dom.AttributeNode {
+		// An attribute nothing names takes its label from its element's.
+		p, _ := lb.lookup(int(ar.Parent(int32(i))))
+		l := attrLabel(Label{}, *p)
+		return &l, true
+	}
+	if kind != dom.ElementNode {
+		return nil, false
+	}
+	var p Label // no stored ancestor: nothing is inherited
+	for a := ar.Parent(int32(i)); a > 0; a = ar.Parent(a) {
+		if k := lb.find(a); k >= 0 {
+			p = lb.labels[k]
+			break
+		}
+	}
+	return &Label{R: p.R, RD: p.RD, RW: p.RW, Final: p.inherited()}, true
+}
+
+// Of returns the label of n, or nil if n is not an element or
+// attribute of the labeled document.
+func (lb *Labeling) Of(n *dom.Node) *Label {
+	lab, _ := lb.lookup(n.Order)
+	return lab
 }
 
 // FinalOf returns the final sign of n (ε for unlabeled nodes).
 func (lb *Labeling) FinalOf(n *dom.Node) Sign {
-	if l := lb.Of(n); l != nil {
-		return l.Final
-	}
-	return Epsilon
+	return lb.FinalAt(n.Order)
 }
 
 // FinalAt returns the final sign of the node at dense preorder index i
-// (ε for unlabeled or out-of-range indexes).
+// (ε for indexes that are not elements or attributes).
 func (lb *Labeling) FinalAt(i int) Sign {
-	if i >= 0 && i < len(lb.labels) && lb.present.Get(i) {
-		return lb.labels[i].Final
+	if lab, ok := lb.lookup(i); ok {
+		return lab.Final
 	}
 	return Epsilon
 }
 
-// Count returns how many labeled nodes carry each final sign, in one
-// pass over the dense slice. Every element and attribute reachable from
-// the document element is labeled, so plus+minus+eps equals the
-// document's element+attribute count.
+// Count returns how many elements and attributes of the document carry
+// each final sign: the stored labels one by one, and each unlabeled
+// range in one ranged count, so plus+minus+eps equals the document's
+// element+attribute count.
 func (lb *Labeling) Count() (plus, minus, eps int) {
-	for i := range lb.labels {
-		if !lb.present.Get(i) {
-			continue
-		}
-		switch lb.labels[i].Final {
-		case Plus:
-			plus++
-		case Minus:
-			minus++
-		default:
-			eps++
+	var c signCounts
+	if lb.ar != nil {
+		_, _, c = visibility(lb.ar, lb, Policy{})
+	} else {
+		for k := range lb.labels {
+			c.add(lb.labels[k].Final, 1)
 		}
 	}
-	return
+	return c.plus, c.minus, c.eps
 }

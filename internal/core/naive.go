@@ -35,7 +35,7 @@ func (e *Engine) NaiveLabel(req Request, doc *dom.Document, memoize bool) (*Labe
 		axml: axml,
 		adtd: adtd,
 		doc:  doc,
-		out:  newLabeling(doc.NodeCount()),
+		out:  &Labeling{},
 	}
 	if memoize {
 		nl.sets = make(map[*authz.Authorization]map[*dom.Node]bool)
@@ -44,11 +44,15 @@ func (e *Engine) NaiveLabel(req Request, doc *dom.Document, memoize bool) (*Labe
 	if root == nil {
 		return nl.out, nil
 	}
+	doc.NodeCount() // ensure the preorder numbering exists
+	// The walk is Renumber's preorder, so the labels arrive in index
+	// order and the result is a complete labeling: every element and
+	// attribute is stored, none is derived.
 	var walk func(n *dom.Node)
 	walk = func(n *dom.Node) {
-		*nl.out.at(n) = *nl.finalLabel(n)
+		nl.out.add(int32(n.Order), *nl.finalLabel(n))
 		for _, a := range n.Attrs {
-			*nl.out.at(a) = *nl.finalLabel(a)
+			nl.out.add(int32(a.Order), *nl.finalLabel(a))
 		}
 		for _, c := range n.Children {
 			if c.Type == dom.ElementNode {

@@ -1,6 +1,10 @@
 package dom
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+	"sync"
+)
 
 // span locates one run of character data inside an Arena's shared byte
 // buffer.
@@ -44,11 +48,16 @@ type Arena struct {
 	raw         []span
 	esc         []span
 	defaulted   Bitmask
+	elemAttr    Bitmask // set for every element and attribute index
 	bytes       []byte
 	syms        *symTab
 
 	elemAttrs int // elements + attributes, the paper's node unit
 	sizeHint  int // estimated serialized output size
+
+	// render is the document rendered once under ServeIndent, built on
+	// the first masked write that can copy from it (see rendering).
+	render rendering
 
 	// Document metadata, carried so Materialize can reconstruct a
 	// standalone Document adapter.
@@ -72,6 +81,7 @@ func buildArena(d *Document) *Arena {
 		raw:         make([]span, n),
 		esc:         make([]span, n),
 		defaulted:   NewBitmask(n),
+		elemAttr:    NewBitmask(n),
 		syms:        newSymTab(),
 		version:     d.Version,
 		encoding:    d.Encoding,
@@ -91,6 +101,7 @@ func buildArena(d *Document) *Arena {
 		switch nd.Type {
 		case ElementNode:
 			a.name[i] = a.syms.intern(nd.Name)
+			a.elemAttr.Set(int(i))
 			a.elemAttrs++
 			a.sizeHint += 2*len(nd.Name) + 5
 		case AttributeNode:
@@ -100,6 +111,7 @@ func buildArena(d *Document) *Arena {
 			if nd.Defaulted {
 				a.defaulted.Set(int(i))
 			}
+			a.elemAttr.Set(int(i))
 			a.elemAttrs++
 			a.sizeHint += len(nd.Name) + 4 + int(a.esc[i].n)
 		case TextNode:
@@ -269,6 +281,13 @@ func (a *Arena) DocumentElement() int32 {
 // counted once at build time.
 func (a *Arena) CountElemAttrs() int { return a.elemAttrs }
 
+// CountElemAttrsIn returns the number of element and attribute nodes
+// in the index range [lo, hi) — with a subtree's interval
+// [i, SubtreeEnd(i)), the subtree's size in the paper's node unit.
+func (a *Arena) CountElemAttrsIn(lo, hi int32) int {
+	return a.elemAttr.CountRange(int(lo), int(hi))
+}
+
 // SizeHint returns an estimate of the document's serialized size in
 // bytes, suitable for pre-sizing output buffers.
 func (a *Arena) SizeHint() int { return a.sizeHint }
@@ -278,6 +297,48 @@ func (a *Arena) Syms() int { return a.syms.Len() }
 
 // ByteLen returns the size of the shared character-data buffer.
 func (a *Arena) ByteLen() int { return len(a.bytes) }
+
+// ServeIndent is the indent unit views are served with. An arena keeps
+// one rendering of its whole document under this indent, and a masked
+// write with the same indent copies every fully visible subtree out of
+// it instead of writing the subtree node by node.
+const ServeIndent = "  "
+
+// rendering is an arena's whole document serialized once under
+// ServeIndent, with the byte span each element's subtree occupies in
+// it. A fully visible subtree serializes to exactly its span inside any
+// view: the writer's output for a subtree depends only on the subtree's
+// nodes, their mask bits and its depth; pruning keeps every ancestor of
+// a kept node, so the subtree sits at the same depth in the view as in
+// the document; and with every child visible the pretty-print decision
+// is the same as in the full rendering.
+type rendering struct {
+	once       sync.Once
+	buf        []byte
+	start, end []int32 // per element index: its span is buf[start:end]
+}
+
+// rendering returns the arena's rendering, building it on first use.
+// Concurrent first callers wait for one build (the Once), so a document
+// version is rendered at most once; it costs about one serialized copy
+// of the document plus two int32 per node, and lives as long as the
+// arena does.
+func (a *Arena) rendering() *rendering {
+	r := &a.render
+	r.once.Do(func() {
+		var b bytes.Buffer
+		b.Grow(a.sizeHint)
+		r.start = make([]int32, len(a.kind))
+		r.end = make([]int32, len(a.kind))
+		s := arenaWriter{a: a, w: newErrWriter(&b), indent: ServeIndent, rec: r}
+		for c := a.firstChild[0]; c >= 0; c = a.nextSibling[c] {
+			s.node(c, 0, 0)
+		}
+		// The buffer grew by doubling; keep only the bytes.
+		r.buf = bytes.Clone(b.Bytes())
+	})
+	return r
+}
 
 // Materialize reconstructs a standalone pointer-tree Document from the
 // arena — the adapter consumers such as DTD validation and the

@@ -9,25 +9,38 @@ import "bytes"
 // pin this — but character data is copied straight out of the arena's
 // pre-escaped spans instead of being re-escaped per request, and
 // indentation comes from one growable pad instead of per-line
-// strings.Repeat allocations.
+// strings.Repeat allocations. With copy set, a fully visible element
+// subtree is one copy of its span in the arena's rendering.
 type arenaWriter struct {
 	a      *Arena
 	w      *errWriter
 	indent string
 	mask   Bitmask
 	pad    []byte
+	copy   *rendering
+
+	// rec is set only while the rendering itself is written into a
+	// bytes.Buffer: each element's span is recorded as the buffer's
+	// length before and after it.
+	rec *rendering
 }
 
 // writeContent emits the arena's top-level children (the prolog
 // comments/PIs and the document element), mirroring Document.Write's
-// body loop.
-func (a *Arena) writeContent(w *errWriter, opts WriteOptions) {
+// body loop. copySpans lets a masked write under ServeIndent copy fully
+// visible subtrees out of the arena's rendering; the caller sets it
+// only for an arena its document caches, so the rendering is built
+// once per document version rather than once per write.
+func (a *Arena) writeContent(w *errWriter, opts WriteOptions, copySpans bool) {
 	s := arenaWriter{a: a, w: w, indent: opts.Indent, mask: opts.Mask}
+	if copySpans && opts.Mask != nil && opts.Indent == ServeIndent {
+		s.copy = a.rendering()
+	}
 	for c := a.firstChild[0]; c >= 0; c = a.nextSibling[c] {
 		if !s.mask.VisibleIdx(c) {
 			continue
 		}
-		s.node(c, 0)
+		s.node(c, 0, s.siblingEnd(c, int32(len(a.kind))))
 		if s.indent != "" {
 			w.str("\n")
 		}
@@ -65,12 +78,40 @@ func (s *arenaWriter) hasElementContent(i int32) bool {
 	return any
 }
 
-// node serializes the mask-visible subtree rooted at index i. The
-// caller has already established that i itself is visible.
-func (s *arenaWriter) node(i int32, depth int) {
+// siblingEnd returns SubtreeEnd(c) for a child whose parent's subtree
+// ends at parentEnd, in O(1): the next sibling's index, or for a last
+// child the parent's end. Only span copies need it.
+func (s *arenaWriter) siblingEnd(c, parentEnd int32) int32 {
+	if s.copy == nil {
+		return 0
+	}
+	if ns := s.a.nextSibling[c]; ns >= 0 {
+		return ns
+	}
+	return parentEnd
+}
+
+// recordEnd closes element i's span while the rendering is written.
+func (s *arenaWriter) recordEnd(i int32) {
+	if s.rec != nil {
+		s.rec.end[i] = int32(s.w.buf.Len())
+	}
+}
+
+// node serializes the mask-visible subtree rooted at index i, whose
+// subtree ends at end (tracked only when copying spans). The caller has
+// already established that i itself is visible.
+func (s *arenaWriter) node(i int32, depth int, end int32) {
 	a, w := s.a, s.w
 	switch a.kind[i] {
 	case ElementNode:
+		if s.copy != nil && s.mask.allSet(int(i), int(end)) {
+			w.bytes(s.copy.buf[s.copy.start[i]:s.copy.end[i]])
+			return
+		}
+		if s.rec != nil {
+			s.rec.start[i] = int32(s.w.buf.Len())
+		}
 		w.str("<")
 		w.str(a.Name(i))
 		for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
@@ -92,6 +133,7 @@ func (s *arenaWriter) node(i int32, depth int) {
 		}
 		if empty {
 			w.str("/>")
+			s.recordEnd(i)
 			return
 		}
 		w.str(">")
@@ -107,7 +149,7 @@ func (s *arenaWriter) node(i int32, depth int) {
 				w.str("\n")
 				s.writeIndent(depth + 1)
 			}
-			s.node(c, depth+1)
+			s.node(c, depth+1, s.siblingEnd(c, end))
 		}
 		if pretty {
 			w.str("\n")
@@ -116,6 +158,7 @@ func (s *arenaWriter) node(i int32, depth int) {
 		w.str("</")
 		w.str(a.Name(i))
 		w.str(">")
+		s.recordEnd(i)
 	case TextNode, CDATANode:
 		// esc holds the escaped text (or the complete pre-rendered CDATA
 		// section); emit it verbatim.
@@ -140,7 +183,7 @@ func (s *arenaWriter) node(i int32, depth int) {
 	case DocumentNode:
 		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
 			if s.mask.VisibleIdx(c) {
-				s.node(c, depth)
+				s.node(c, depth, s.siblingEnd(c, end))
 			}
 		}
 	}

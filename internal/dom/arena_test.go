@@ -1,6 +1,8 @@
 package dom
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -347,8 +349,8 @@ func TestMaskedWriteWithoutArena(t *testing.T) {
 }
 
 // TestBitmaskCountRange checks the ranged popcount against a bit-by-bit
-// count over every interval of a mask spanning several words, and the
-// nil mask's count-everything convention.
+// count over every interval of a mask spanning several words, the nil
+// mask's count-everything convention, and allSet against the count.
 func TestBitmaskCountRange(t *testing.T) {
 	const n = 200
 	m := NewBitmask(n)
@@ -373,4 +375,177 @@ func TestBitmaskCountRange(t *testing.T) {
 	if got := Bitmask(nil).CountRange(3, 10); got != 7 {
 		t.Errorf("nil mask CountRange(3, 10) = %d, want 7", got)
 	}
+	// allSet is CountRange's "every index visible" without the count,
+	// on this mask and on one with a long run spanning whole words.
+	runs := NewBitmask(n)
+	runs.SetRange(10, 150)
+	runs.Set(160)
+	for _, mm := range []Bitmask{m, runs} {
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n+5; hi++ {
+				if got, want := mm.allSet(lo, hi), mm.CountRange(lo, hi) == hi-lo; got != want {
+					t.Fatalf("allSet(%d, %d) = %v, want %v", lo, hi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBitmaskSetRange checks the ranged set against a bit-by-bit set
+// over every interval of a three-word mask, including ranges that start
+// or end on a word boundary, span whole words, or are empty, and that
+// it leaves the bits outside the range alone.
+func TestBitmaskSetRange(t *testing.T) {
+	const n = 192
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo - 1; hi <= n; hi++ {
+			got, want := NewBitmask(n), NewBitmask(n)
+			got.Set(0)
+			want.Set(0)
+			got.Set(n - 1)
+			want.Set(n - 1)
+			got.SetRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				want.Set(i)
+			}
+			for w := range want {
+				if got[w] != want[w] {
+					t.Fatalf("SetRange(%d, %d): word %d = %064b, want %064b", lo, hi, w, got[w], want[w])
+				}
+			}
+		}
+	}
+}
+
+// spanDoc builds a document with every node kind, mixed and element
+// content, and whitespace-only text, carrying its arena.
+func spanDoc(seed int64) *Document {
+	rng := rand.New(rand.NewSource(seed))
+	doc := NewDocument()
+	doc.Node.AppendChild(NewComment(" prolog "))
+	root := NewElement("r")
+	doc.SetDocumentElement(root)
+	var grow func(e *Node, depth int)
+	grow = func(e *Node, depth int) {
+		for a := 0; a < rng.Intn(3); a++ {
+			e.SetAttr(fmt.Sprintf("a%d", a), fmt.Sprintf("v<%d>&\"", rng.Intn(9)))
+		}
+		if depth == 0 {
+			e.AppendChild(NewText(fmt.Sprintf("leaf & %d", rng.Intn(9))))
+			return
+		}
+		for c := 0; c < 1+rng.Intn(4); c++ {
+			switch rng.Intn(8) {
+			case 0:
+				e.AppendChild(NewText("mixed <text>"))
+			case 1:
+				e.AppendChild(NewText("\n   "))
+			case 2:
+				e.AppendChild(NewComment("c"))
+			case 3:
+				e.AppendChild(NewProcInst("pi", "x"))
+			case 4:
+				e.AppendChild(NewCDATA("raw ]]> data"))
+			default:
+				k := NewElement(fmt.Sprintf("e%d", rng.Intn(3)))
+				e.AppendChild(k)
+				grow(k, depth-1)
+			}
+		}
+	}
+	grow(root, 4)
+	doc.Renumber()
+	doc.BuildArena()
+	return doc
+}
+
+// viewMask draws an upward-closed mask over doc, as view masks are: a
+// node can be visible only under a visible parent. Some subtrees are
+// kept whole, the ones a masked write copies from the rendering.
+func viewMask(doc *Document, rng *rand.Rand) Bitmask {
+	ar := doc.ReadArena()
+	m := NewBitmask(ar.Len())
+	m.Set(0)
+	var keep func(i int32, whole bool)
+	keep = func(i int32, whole bool) {
+		m.Set(int(i))
+		if !whole && ar.Kind(i) == ElementNode && rng.Intn(3) == 0 {
+			whole = true
+		}
+		s, e := ar.Attrs(i)
+		for a := s; a < e; a++ {
+			if whole || rng.Intn(2) == 0 {
+				m.Set(int(a))
+			}
+		}
+		for c := ar.FirstChild(i); c >= 0; c = ar.NextSibling(c) {
+			if whole || rng.Intn(3) != 0 {
+				keep(c, whole)
+			}
+		}
+	}
+	for c := ar.FirstChild(0); c >= 0; c = ar.NextSibling(c) {
+		keep(c, false)
+	}
+	return m
+}
+
+// TestRenderedSpansMatchNodeWriter pins the span copy: a masked write
+// under ServeIndent, which copies every fully visible subtree out of
+// the arena's rendering, emits exactly what the tree writer emits for
+// the pruned copy — for random upward-closed masks, the full mask (the
+// whole rendering) and the other indents, which write node by node.
+func TestRenderedSpansMatchNodeWriter(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		doc := spanDoc(seed)
+		rng := rand.New(rand.NewSource(seed))
+		full := NewBitmask(doc.NodeCount())
+		full.SetRange(0, doc.NodeCount())
+		for round, mask := range []Bitmask{full, viewMask(doc, rng), viewMask(doc, rng), viewMask(doc, rng)} {
+			for _, opts := range []WriteOptions{{Indent: ServeIndent}, {Indent: ServeIndent, OmitDecl: true}, {}, {Indent: "\t"}} {
+				var got, want strings.Builder
+				opts.Mask = mask
+				if err := doc.Write(&got, opts); err != nil {
+					t.Fatal(err)
+				}
+				opts.Mask = nil
+				if err := doc.CloneMasked(mask).Write(&want, opts); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("seed %d mask %d indent %q: masked write differs from the pruned copy:\n--- masked ---\n%s\n--- copy ---\n%s",
+						seed, round, opts.Indent, got.String(), want.String())
+				}
+			}
+		}
+		if doc.arena.render.buf == nil {
+			t.Fatalf("seed %d: a masked write under ServeIndent did not render the document", seed)
+		}
+	}
+}
+
+// TestRenderOnceConcurrently: the first masked writes of a document,
+// racing each other, build one rendering and all emit the same bytes.
+func TestRenderOnceConcurrently(t *testing.T) {
+	doc := spanDoc(7)
+	mask := viewMask(doc, rand.New(rand.NewSource(7)))
+	var want strings.Builder
+	if err := doc.CloneMasked(mask).Write(&want, WriteOptions{Indent: ServeIndent}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := GetBuffer(0)
+			defer PutBuffer(b)
+			if err := doc.Write(b, WriteOptions{Indent: ServeIndent, Mask: mask}); err != nil {
+				t.Error(err)
+			} else if b.String() != want.String() {
+				t.Error("concurrent first masked write diverged from the pruned copy")
+			}
+		}()
+	}
+	wg.Wait()
 }

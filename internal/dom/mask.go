@@ -38,6 +38,28 @@ func (m Bitmask) Get(i int) bool {
 	return false
 }
 
+// SetRange marks every index in [lo, hi) visible, a word at a time:
+// with a preorder subtree's interval [i, Arena.SubtreeEnd(i)) it shows
+// the whole subtree at once. An empty range is a no-op; out-of-range
+// indexes panic, as with Set.
+func (m Bitmask) SetRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << (uint(lo) & 63)
+	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if lw == hw {
+		m[lw] |= first & last
+		return
+	}
+	m[lw] |= first
+	for w := lw + 1; w < hw; w++ {
+		m[w] = ^uint64(0)
+	}
+	m[hw] |= last
+}
+
 // Count returns the number of visible indexes.
 func (m Bitmask) Count() int {
 	n := 0
@@ -69,6 +91,33 @@ func (m Bitmask) CountRange(lo, hi int) int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// allSet reports whether every index in [lo, hi) is visible, stopping
+// at the first word with a hidden index; a nil mask shows everything.
+// It is CountRange(lo, hi) == hi-lo without counting the whole range.
+func (m Bitmask) allSet(lo, hi int) bool {
+	if m == nil || lo >= hi {
+		return true
+	}
+	if hi > len(m)*64 {
+		return false
+	}
+	lw, hw := lo>>6, (hi-1)>>6
+	first := ^uint64(0) << (uint(lo) & 63)
+	last := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if lw == hw {
+		return m[lw]&first&last == first&last
+	}
+	if m[lw]&first != first || m[hw]&last != last {
+		return false
+	}
+	for _, w := range m[lw+1 : hw] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Visible reports whether node n is visible under the mask. A nil mask

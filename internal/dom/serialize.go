@@ -91,7 +91,7 @@ func EscapeAttr(s string) string {
 
 // Write serializes the document to w using the given options.
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
-	ew := &errWriter{w: w}
+	ew := newErrWriter(w)
 	if !opts.OmitDecl {
 		ew.str(`<?xml version="`)
 		if d.Version != "" {
@@ -145,7 +145,7 @@ func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 	// byte-identical output; FuzzArenaParity and the arena tests pin
 	// the equivalence.
 	if d.arena != nil || opts.Mask != nil {
-		d.ReadArena().writeContent(ew, opts)
+		d.ReadArena().writeContent(ew, opts, d.arena != nil)
 		return ew.err
 	}
 	for _, c := range d.Node.Children {
@@ -176,7 +176,7 @@ func (d *Document) StringIndent(indent string) string {
 // MarkupString serializes the subtree rooted at n without indentation.
 func MarkupString(n *Node) string {
 	var b strings.Builder
-	ew := &errWriter{w: &b}
+	ew := newErrWriter(&b)
 	writeNode(ew, n, "", 0)
 	return b.String()
 }
@@ -294,10 +294,20 @@ func writeLiteral(w *errWriter, s string) {
 }
 
 // errWriter folds write errors into a single sticky error so the
-// serializer does not have to check every write.
+// serializer does not have to check every write. When the destination
+// is a bytes.Buffer (the serve path's pooled buffer), it writes to it
+// directly: a view is written in thousands of small pieces, and each
+// would otherwise pay an interface call and io.WriteString's type check.
 type errWriter struct {
 	w   io.Writer
+	buf *bytes.Buffer
 	err error
+}
+
+// newErrWriter wraps w.
+func newErrWriter(w io.Writer) *errWriter {
+	b, _ := w.(*bytes.Buffer)
+	return &errWriter{w: w, buf: b}
 }
 
 func (e *errWriter) Write(p []byte) (int, error) {
@@ -310,13 +320,17 @@ func (e *errWriter) Write(p []byte) (int, error) {
 }
 
 func (e *errWriter) str(s string) {
-	if e.err == nil {
+	if e.buf != nil {
+		e.buf.WriteString(s)
+	} else if e.err == nil {
 		_, e.err = io.WriteString(e.w, s)
 	}
 }
 
 func (e *errWriter) bytes(b []byte) {
-	if e.err == nil {
+	if e.buf != nil {
+		e.buf.Write(b)
+	} else if e.err == nil {
 		_, e.err = e.w.Write(b)
 	}
 }

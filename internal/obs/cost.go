@@ -93,10 +93,15 @@ type CostCard struct {
 	// (cache disabled, unresolvable requester).
 	Class int64 `json:"class"`
 
-	// NodesLabeled counts element+attribute nodes run through label
-	// propagation; zero for cache hits, which run no cycle at all.
+	// NodesLabeled counts the element+attribute nodes labeled one at a
+	// time: the named nodes, their ancestor chains and the attributes
+	// of those elements. Every other node takes its sign from its
+	// nearest labeled ancestor at no per-node cost. Zero for cache
+	// hits, which run no cycle at all.
 	NodesLabeled int64 `json:"nodes_labeled,omitempty"`
-	// NodesSwept counts nodes visited by the visibility (prune) sweep.
+	// NodesSwept counts the element+attribute nodes the visibility
+	// (prune) sweep decided: the whole document, most of it as whole
+	// unlabeled subtrees rather than node by node.
 	NodesSwept int64 `json:"nodes_swept,omitempty"`
 	// NodesKept counts nodes the sweep kept in the view.
 	NodesKept int64 `json:"nodes_kept,omitempty"`

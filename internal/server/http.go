@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -161,8 +162,12 @@ func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal error", http.StatusInternalServerError)
 		return
 	}
+	// A cached view is an immutable string shared by every hit: write
+	// it without converting it to a fresh []byte, and with its length,
+	// so the response is not chunked.
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	_, _ = w.Write([]byte(res.XML))
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.XML)))
+	_, _ = io.WriteString(w, res.XML)
 }
 
 func (s *Site) handleUpdate(w http.ResponseWriter, r *http.Request) {

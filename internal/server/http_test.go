@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"xmlsec/internal/authz"
+	"xmlsec/internal/workload"
 )
 
 // get performs a request against the site's handler with optional
@@ -352,5 +354,40 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 	site.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST: HTTP %d, want 405", rec.Code)
+	}
+}
+
+// TestDocResponseHasContentLength pins how a view goes out on the wire,
+// for the miss that computes it and the hit that reuses it: with a
+// Content-Length equal to the body, so the response is not chunked. The
+// view is larger than the server's chunking threshold (2 KB), below
+// which net/http sets the length itself.
+func TestDocResponseHasContentLength(t *testing.T) {
+	site := openUpdateSite(t, workload.DocConfig{Depth: 3, Fanout: 5, Attrs: 2, Seed: 1}, "big.xml").
+		EnableViewCache(16)
+	srv := httptest.NewServer(site.Handler())
+	defer srv.Close()
+	for _, round := range []string{"miss", "hit"} {
+		resp, err := srv.Client().Get(srv.URL + "/docs/big.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+			t.Fatalf("%s: HTTP %d with %d bytes, want a view over 2 KB", round, resp.StatusCode, len(body))
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Errorf("%s: Content-Length %q, body %d bytes", round, got, len(body))
+		}
+		if len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Transfer-Encoding %v, want none", round, resp.TransferEncoding)
+		}
+	}
+	if hits, misses := site.CacheStats(); hits != 1 || misses != 1 {
+		t.Errorf("cache outcome %d hits / %d misses, want 1/1", hits, misses)
 	}
 }

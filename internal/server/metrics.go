@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -362,4 +363,12 @@ func (w *statusWriter) WriteHeader(code int) {
 func (w *statusWriter) Write(b []byte) (int, error) {
 	w.wroteHeader = true
 	return w.ResponseWriter.Write(b)
+}
+
+// WriteString passes strings through to the underlying writer, which
+// writes them without a copy; without it io.WriteString would convert
+// each cached view to a fresh []byte.
+func (w *statusWriter) WriteString(s string) (int, error) {
+	w.wroteHeader = true
+	return io.WriteString(w.ResponseWriter, s)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"xmlsec/internal/authz"
+	"xmlsec/internal/core"
 	"xmlsec/internal/labexample"
 )
 
@@ -27,6 +28,17 @@ func getID(t *testing.T, h http.Handler, path, user, pass, from string) (int, st
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec.Code, rec.Body.String(), rec.Header().Get("X-Request-ID")
+}
+
+// storedLabels is the number of labels the engine stores for req over
+// the site's current version of the document.
+func storedLabels(t *testing.T, site *Site, req core.Request) int64 {
+	t.Helper()
+	lb, _, err := site.Engine.Label(req, site.Docs.Doc(req.URI).Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(lb.Stored())
 }
 
 // slowEntryFor finds the slow-log entry of one request by its ID.
@@ -52,16 +64,19 @@ func TestCostCardExactCounts(t *testing.T) {
 		t.Fatal("fixture document has no nodes")
 	}
 
-	// Cold: the full cycle runs — labeling touches every node, the
-	// sweep visits every node, the view cache misses, the node-set
-	// index fills.
+	// Cold: the full cycle runs — labeling stores the labels of the
+	// named nodes and their chains, the sweep decides every node, the
+	// view cache misses, the node-set index fills.
 	code, body, coldID := getID(t, h, "/docs/"+labexample.DocURI, "Tom", "pw-tom", "130.100.50.8")
 	if code != http.StatusOK {
 		t.Fatalf("cold serve: HTTP %d: %s", code, body)
 	}
 	cold := slowEntryFor(t, site, coldID).Cost
-	if cold.NodesLabeled != docNodes {
-		t.Errorf("cold NodesLabeled = %d, want %d", cold.NodesLabeled, docNodes)
+	tomReq := core.Request{Requester: labexample.Tom, URI: labexample.DocURI,
+		DTDURI: site.Docs.Doc(labexample.DocURI).DTDURI}
+	if want := storedLabels(t, site, tomReq); cold.NodesLabeled != want || want >= docNodes {
+		t.Errorf("cold NodesLabeled = %d, want %d (the labels stored, fewer than the %d nodes)",
+			cold.NodesLabeled, want, docNodes)
 	}
 	if cold.NodesSwept != docNodes {
 		t.Errorf("cold NodesSwept = %d, want %d", cold.NodesSwept, docNodes)
@@ -130,8 +145,8 @@ func TestCostCardExactCounts(t *testing.T) {
 		t.Errorf("invalidated cache outcome = %d miss / %d hit, want 1/0",
 			inv.ViewCacheMisses, inv.ViewCacheHits)
 	}
-	if inv.NodesLabeled != docNodes {
-		t.Errorf("invalidated NodesLabeled = %d, want %d", inv.NodesLabeled, docNodes)
+	if want := storedLabels(t, site, tomReq); inv.NodesLabeled != want {
+		t.Errorf("invalidated NodesLabeled = %d, want %d", inv.NodesLabeled, want)
 	}
 	if inv.ClassRebuilds != 1 {
 		t.Errorf("invalidated ClassRebuilds = %d, want 1 (generation change)", inv.ClassRebuilds)

@@ -346,11 +346,16 @@ func (s *Site) PutDocument(uri, source string) error {
 	return s.PutDocumentContext(context.Background(), uri, source)
 }
 
-// PutDocumentContext is PutDocument under a request context (the
-// update path threads its trace through here).
+// PutDocumentContext is PutDocument under a request context.
 func (s *Site) PutDocumentContext(ctx context.Context, uri, source string) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
+	return s.putDocumentLocked(ctx, uri, source)
+}
+
+// putDocumentLocked parses, validates, logs and commits a document.
+// Callers hold persistMu.
+func (s *Site) putDocumentLocked(ctx context.Context, uri, source string) error {
 	sd, err := s.Docs.prepareDocument(uri, source)
 	if err != nil {
 		return err

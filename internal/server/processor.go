@@ -376,7 +376,9 @@ func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (
 	// discard and no per-request buffer growth once the pool is warm.
 	b := dom.GetBuffer(doc.ReadArena().SizeHint())
 	err = view.WriteXML(b, dom.WriteOptions{
-		Indent: "  ",
+		// The serve indent is the one the document's rendering uses,
+		// so fully visible subtrees are copied rather than rewritten.
+		Indent: dom.ServeIndent,
 		// The view's DOCTYPE keeps the same system identifier; the
 		// site serves the loosened DTD under the original's URI.
 		OmitDocType: sd.DTDURI == "",

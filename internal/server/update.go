@@ -57,81 +57,25 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 // stages (read view, parse, merge, validation, log append) are timed
 // onto the context's cost card and, when traced, recorded as spans;
 // the request ID is written into the audit record.
+//
+// Only the parse of the replacement runs outside the persistence lock.
+// The read view, the write labeling, the merge, validation, the log
+// append and the commit all run under it, against the document and the
+// authorizations the commit replaces: a merge computed outside the lock
+// could fill hidden content from a copy that a concurrent, acknowledged
+// update has since superseded and so revert it, or commit under write
+// labels that a concurrent authorization change has since revoked.
+// ApplyUpdate holds the lock the same way.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
 	defer func() { s.auditWrite(ctx, rq, uri, err) }()
-	sd := s.Docs.Doc(uri)
-	if sd == nil {
-		return ErrNotFound
-	}
-	// Visibility first: a requester with no read view must not learn
-	// that the document exists from the write path either.
-	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	rctx, sp := trace.StartSpan(ctx, "read-view")
-	readView, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	if readView.Empty() {
-		return ErrNotFound
-	}
-	// Parse the replacement before judging it (malformed input is a
-	// client error regardless of authority).
 	tm := trace.StartStageChild(ctx, obs.StageParse)
-	res, err := xmlparse.Parse(newSource, xmlparse.Options{
+	res, parseErr := xmlparse.Parse(newSource, xmlparse.Options{
 		Loader:        storeLoader{s.Docs},
 		ApplyDefaults: true,
 	})
 	tm.End()
+	oldDoc, err := s.mergeAndCommit(ctx, rq, uri, res, parseErr)
 	if err != nil {
-		return fmt.Errorf("server: update of %q: %w", uri, err)
-	}
-	newDTDURI := ""
-	if res.Doc.DocType != nil {
-		newDTDURI = res.Doc.DocType.SystemID
-	}
-	if newDTDURI != sd.DTDURI {
-		return fmt.Errorf("server: update of %q must keep DTD %q (got %q)", uri, sd.DTDURI, newDTDURI)
-	}
-	// Write labels on the original document.
-	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
-	wctx, sp := trace.StartSpan(ctx, "write-label")
-	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	pol := s.Engine.PolicyFor(uri)
-	writable := func(n *dom.Node) bool {
-		return pol.Grants(lb.FinalOf(n))
-	}
-	tm = trace.StartStageChild(ctx, obs.StageMerge)
-	merged, err := core.MergeView(sd.Doc, readView, res.Doc, writable)
-	tm.End()
-	if err != nil {
-		var wde *core.WriteDeniedError
-		if errors.As(err, &wde) {
-			return fmt.Errorf("%w: %s", ErrForbidden, wde.Reason)
-		}
-		return err
-	}
-	if sd.DTDURI != "" {
-		tm = trace.StartStageChild(ctx, obs.StageValidate)
-		d := s.Docs.DTD(sd.DTDURI)
-		if d == nil {
-			return fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
-		}
-		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
-		tm.End()
-		if errs != nil {
-			return fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
-		}
-	}
-	oldDoc := sd.Doc
-	// The replacement is durable before it is visible: the WAL record
-	// is appended (and, under -fsync always, flushed) before the commit
-	// swaps the parsed tree in, inside PutDocumentContext.
-	if err := s.PutDocumentContext(ctx, uri, merged.String()); err != nil {
 		return err
 	}
 	// The PUT replaced the parsed tree: release the superseded document
@@ -145,6 +89,84 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 		}
 	}
 	return nil
+}
+
+// mergeAndCommit is the part of UpdateContext that runs under
+// persistMu, which it holds throughout: it merges the parsed
+// replacement (or reports parseErr) into the stored document and
+// commits the result, returning the document it replaced.
+func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri string, res *xmlparse.Result, parseErr error) (*dom.Document, error) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	sd := s.Docs.Doc(uri)
+	if sd == nil {
+		return nil, ErrNotFound
+	}
+	// Visibility first: a requester with no read view must not learn
+	// that the document exists from the write path either.
+	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
+	rctx, sp := trace.StartSpan(ctx, "read-view")
+	readView, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if readView.Empty() {
+		return nil, ErrNotFound
+	}
+	// A malformed replacement is a client error regardless of
+	// authority.
+	if parseErr != nil {
+		return nil, fmt.Errorf("server: update of %q: %w", uri, parseErr)
+	}
+	newDTDURI := ""
+	if res.Doc.DocType != nil {
+		newDTDURI = res.Doc.DocType.SystemID
+	}
+	if newDTDURI != sd.DTDURI {
+		return nil, fmt.Errorf("server: update of %q must keep DTD %q (got %q)", uri, sd.DTDURI, newDTDURI)
+	}
+	// Write labels on the original document.
+	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
+	wctx, sp := trace.StartSpan(ctx, "write-label")
+	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	pol := s.Engine.PolicyFor(uri)
+	writable := func(n *dom.Node) bool {
+		return pol.Grants(lb.FinalOf(n))
+	}
+	tm := trace.StartStageChild(ctx, obs.StageMerge)
+	merged, err := core.MergeView(sd.Doc, readView, res.Doc, writable)
+	tm.End()
+	if err != nil {
+		var wde *core.WriteDeniedError
+		if errors.As(err, &wde) {
+			return nil, fmt.Errorf("%w: %s", ErrForbidden, wde.Reason)
+		}
+		return nil, err
+	}
+	if sd.DTDURI != "" {
+		tm = trace.StartStageChild(ctx, obs.StageValidate)
+		d := s.Docs.DTD(sd.DTDURI)
+		if d == nil {
+			return nil, fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
+		}
+		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
+		tm.End()
+		if errs != nil {
+			return nil, fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
+		}
+	}
+	// The replacement is durable before it is visible: the WAL record
+	// is appended (and, under -fsync always, flushed) before the commit
+	// swaps the parsed tree in.
+	if err := s.putDocumentLocked(ctx, uri, merged.String()); err != nil {
+		return nil, err
+	}
+	return sd.Doc, nil
 }
 
 // QueryDoc evaluates an XPath query against the requester's view of a

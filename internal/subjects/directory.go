@@ -185,6 +185,21 @@ func (d *Directory) MemberOf(member, container string) bool {
 	} else {
 		return false
 	}
+	// The common cases need no search: a direct membership, or a miss
+	// among direct groups that are members of nothing themselves.
+	if direct[container] {
+		return true
+	}
+	nested := false
+	for g := range direct {
+		if e := d.groups[g]; e != nil && len(e.parents) > 0 {
+			nested = true
+			break
+		}
+	}
+	if !nested {
+		return false
+	}
 	seen := make(map[string]bool)
 	stack := make([]string, 0, len(direct))
 	for g := range direct {

@@ -149,6 +149,19 @@ func (h Hierarchy) AppliesTo(s Subject, r Requester) (bool, error) {
 	return h.appliesTo(s, rs, r.Host == ""), nil
 }
 
+// Applicable returns AppliesTo for one requester as a predicate over
+// subjects, converting the requester to its minimal ASH element once:
+// compute-view checks every authorization attached to a document
+// against the same requester.
+func (h Hierarchy) Applicable(r Requester) (func(Subject) bool, error) {
+	rs, err := r.Subject()
+	if err != nil {
+		return nil, err
+	}
+	hostUnresolved := r.Host == ""
+	return func(s Subject) bool { return h.appliesTo(s, rs, hostUnresolved) }, nil
+}
+
 // appliesTo is AppliesTo with the requester already converted to its
 // minimal ASH element; the class index classifies a requester against
 // dozens of subjects and must not re-parse the triple per subject.

@@ -2,6 +2,7 @@ package xmlparse_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -57,42 +58,93 @@ func checkArenaStructure(t *testing.T, doc *dom.Document, ar *dom.Arena) {
 	}
 }
 
-// fuzzPolicy derives a small deterministic authorization set from the
-// document's element names and the fuzzed seed: a mix of grants and
-// denials, local and recursive, on //name paths. Names the tuple
-// grammar rejects are skipped — the interesting part is what the
+// fuzzPolicy derives a small deterministic authorization set and
+// policy from the document's names and the fuzzed seed: grants and
+// denials of every type, for the requester or for Public, at instance
+// level or (non-weak) at schema level; on element paths, attribute
+// targets, positional predicates and whole-document paths; under the
+// open or the closed policy and any conflict rule. So the labeling
+// meets named and unnamed subtrees, attributes that inherit from named
+// elements, and views with fully visible subtrees to copy. Names the
+// tuple grammar rejects are skipped — the interesting part is what the
 // engine does with whatever parses.
-func fuzzPolicy(doc *dom.Document, seed uint8) []*authz.Authorization {
-	var names []string
+func fuzzPolicy(doc *dom.Document, seed uint16) (inst, schema []*authz.Authorization, pol core.Policy) {
+	var elems, attrs []string
 	seen := map[string]bool{}
 	var collect func(n *dom.Node)
 	collect = func(n *dom.Node) {
 		if n.Type == dom.ElementNode && !seen[n.Name] {
 			seen[n.Name] = true
-			names = append(names, n.Name)
+			elems = append(elems, n.Name)
+		}
+		for _, a := range n.Attrs {
+			if !seen["@"+a.Name] {
+				seen["@"+a.Name] = true
+				attrs = append(attrs, a.Name)
+			}
 		}
 		for _, c := range n.Children {
 			collect(c)
 		}
 	}
 	collect(doc.Node)
-	if len(names) == 0 {
-		return nil
+	rng := rand.New(rand.NewSource(int64(seed)))
+	pol = core.Policy{Conflict: core.ConflictRule(rng.Intn(4)), Open: rng.Intn(2) == 0}
+	if len(elems) == 0 {
+		return nil, nil, pol
 	}
-	signs := []string{"+", "-"}
+	pick := func(names []string) string {
+		if len(names) == 0 {
+			return "none"
+		}
+		return names[rng.Intn(len(names))]
+	}
 	types := []string{"L", "R", "LW", "RW"}
-	var auths []*authz.Authorization
-	for k := 0; k < 3; k++ {
-		name := names[(int(seed)+k)%len(names)]
-		tuple := fmt.Sprintf("<<Public,*,*>,doc.xml://%s,read,%s,%s>",
-			name, signs[(int(seed)>>uint(k))%2], types[(int(seed)+3*k)%4])
-		a, err := authz.Parse(tuple)
+	for k := 1 + rng.Intn(5); k > 0; k-- {
+		var path string
+		switch rng.Intn(8) {
+		case 0:
+			path = "//" + pick(elems)
+		case 1:
+			path = fmt.Sprintf("(//%s)[%d]", pick(elems), 1+rng.Intn(3))
+		case 2:
+			path = fmt.Sprintf("//%s/@%s", pick(elems), pick(attrs))
+		case 3:
+			path = "//@" + pick(attrs)
+		case 4:
+			path = fmt.Sprintf("//%s[@%s]", pick(elems), pick(attrs))
+		case 5:
+			path = "/*"
+		case 6:
+			path = fmt.Sprintf("//%s/*", pick(elems))
+		default:
+			path = fmt.Sprintf("//*[%d]", 1+rng.Intn(3))
+		}
+		sub := "Public"
+		if rng.Intn(2) == 0 {
+			sub = "u"
+		}
+		sign := "+"
+		if rng.Intn(2) == 0 {
+			sign = "-"
+		}
+		typ := types[rng.Intn(4)]
+		atSchema := rng.Intn(4) == 0
+		uri := "doc.xml"
+		if atSchema {
+			uri, typ = "doc.dtd", typ[:1]
+		}
+		a, err := authz.Parse(fmt.Sprintf("<<%s,*,*>,%s:%s,read,%s,%s>", sub, uri, path, sign, typ))
 		if err != nil {
 			continue
 		}
-		auths = append(auths, a)
+		if atSchema {
+			schema = append(schema, a)
+		} else {
+			inst = append(inst, a)
+		}
 	}
-	return auths
+	return inst, schema, pol
 }
 
 // TestArenaDTDDefaultedAttr parses a document whose DTD supplies an
@@ -157,9 +209,9 @@ func FuzzArenaParity(f *testing.F) {
 		strings.Repeat("<a>", 40) + strings.Repeat("</a>", 40),
 	}
 	for i, s := range seeds {
-		f.Add(s, uint8(i*37))
+		f.Add(s, uint16(i*37))
 	}
-	f.Fuzz(func(t *testing.T, input string, polSeed uint8) {
+	f.Fuzz(func(t *testing.T, input string, polSeed uint16) {
 		res, err := xmlparse.Parse(input, xmlparse.Options{
 			KeepWhitespace: true, KeepComments: true, ApplyDefaults: true,
 		})
@@ -190,15 +242,19 @@ func FuzzArenaParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		store := authz.NewStore()
-		for _, a := range fuzzPolicy(res.Doc, polSeed) {
-			if err := store.Add(authz.InstanceLevel, a); err != nil {
-				t.Fatal(err)
-			}
+		inst, schema, pol := fuzzPolicy(res.Doc, polSeed)
+		if err := store.AddAll(authz.InstanceLevel, inst); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AddAll(authz.SchemaLevel, schema); err != nil {
+			t.Fatal(err)
 		}
 		eng := core.NewEngine(dir, store)
+		eng.SetPolicy("doc.xml", pol)
 		req := core.Request{
 			Requester: subjects.Requester{User: "u", IP: "9.9.9.9", Host: "h.test.org"},
 			URI:       "doc.xml",
+			DTDURI:    "doc.dtd",
 		}
 		mv, err := eng.ComputeView(req, res.Doc)
 		if err != nil {
