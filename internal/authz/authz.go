@@ -209,8 +209,10 @@ func (a *Authorization) String() string {
 // and returns the protected element/attribute nodes. An object without
 // a path expression protects the document element. Nodes that are
 // neither elements nor attributes are discarded: signs attach only to
-// the units the labeling algorithm knows.
+// the units the labeling algorithm knows. On an arena-only document the
+// nodes belong to a fresh ReadTree copy.
 func (a *Authorization) SelectNodes(doc *dom.Document) ([]*dom.Node, error) {
+	doc = doc.ReadTree()
 	if a.path == nil {
 		root := doc.DocumentElement()
 		if root == nil {

@@ -236,15 +236,44 @@ func TestStoreRejectsWeakAtSchemaLevel(t *testing.T) {
 	}
 }
 
-func TestStoreCopiesResults(t *testing.T) {
+// TestStoreResultsAreAppendSafe pins the sharing contract of
+// ForDocument and ForSchema: they return the store's slice without
+// copying it, so a lookup allocates nothing, yet appending to a result
+// (as the engine's warm-up does) never writes into the store, and a
+// later Add never changes a result already handed out.
+func TestStoreResultsAreAppendSafe(t *testing.T) {
 	s := NewStore()
-	if err := s.Add(InstanceLevel, MustParse(`<<Public,*,*>,d.xml:/a,read,+,R>`)); err != nil {
-		t.Fatal(err)
+	for _, tuple := range []string{
+		`<<Public,*,*>,d.xml:/a,read,+,R>`,
+		`<<Public,*,*>,d.xml:/b,read,+,R>`,
+		`<<Public,*,*>,d.xml:/c,read,+,R>`, // leaves spare capacity behind the store's slice
+		`<<Public,*,*>,d.dtd:/a,read,+,R>`,
+	} {
+		level := InstanceLevel
+		if strings.Contains(tuple, "d.dtd") {
+			level = SchemaLevel
+		}
+		if err := s.Add(level, MustParse(tuple)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := s.ForDocument("d.xml")
-	got[0] = nil // must not corrupt the store
-	if s.ForDocument("d.xml")[0] == nil {
-		t.Error("ForDocument exposes internal slice")
+	extra := MustParse(`<<Public,*,*>,d.xml:/x,read,-,R>`)
+	grown := append(got, extra)
+	if err := s.Add(InstanceLevel, MustParse(`<<Public,*,*>,d.xml:/y,read,+,R>`)); err != nil {
+		t.Fatal(err)
+	}
+	if now := s.ForDocument("d.xml"); len(now) != 4 || now[3] == extra {
+		t.Errorf("appending to a ForDocument result wrote into the store: %v", now)
+	}
+	if len(got) != 3 || grown[3] != extra {
+		t.Errorf("a later Add changed a result already returned: %v / %v", got, grown)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = s.ForDocument("d.xml")
+		_ = s.ForSchema("d.dtd")
+	}); n != 0 {
+		t.Errorf("lookups allocate %.0f times, want 0", n)
 	}
 }
 

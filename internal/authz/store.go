@@ -167,19 +167,30 @@ func (s *Store) AddAll(level Level, auths []*Authorization) error {
 
 // ForDocument returns the instance-level authorizations attached to the
 // document URI (the paper's Axml before subject filtering).
+//
+// The result is the store's own slice, not a copy — every view miss
+// reads it — clipped to its length: the store only ever appends, and
+// an append never rewrites an element in place, so the result stays
+// valid however the store changes, and appending to it reallocates
+// instead of writing into the store. Callers must not assign to its
+// elements.
 func (s *Store) ForDocument(uri string) []*Authorization {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]*Authorization(nil), s.instance[uri]...)
+	return clip(s.instance[uri])
 }
 
 // ForSchema returns the schema-level authorizations attached to the DTD
-// URI (the paper's Adtd before subject filtering).
+// URI (the paper's Adtd before subject filtering), shared and clipped
+// as ForDocument's are.
 func (s *Store) ForSchema(uri string) []*Authorization {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]*Authorization(nil), s.schema[uri]...)
+	return clip(s.schema[uri])
 }
+
+// clip limits a slice's capacity to its length.
+func clip(as []*Authorization) []*Authorization { return as[:len(as):len(as)] }
 
 // URIs returns every URI with authorizations at the given level, sorted.
 func (s *Store) URIs(level Level) []string {

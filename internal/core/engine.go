@@ -211,8 +211,8 @@ type View struct {
 // requester's view of a fully protected document, which the server
 // must treat as nonexistent.
 func (v *View) Empty() bool {
-	root := v.Doc.DocumentElement()
-	return root == nil || !v.Mask.Visible(root)
+	root := v.Doc.ReadArena().DocumentElement()
+	return root < 0 || !v.Mask.VisibleIdx(root)
 }
 
 // Visible reports whether node n of v.Doc is part of the view.
@@ -246,12 +246,13 @@ func (v *View) XMLIndent(indent string) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Materialize returns the view as a standalone pruned document. Each
-// call builds a fresh copy: neither serving nor queries need one
-// (queries evaluate under the mask), only validation, the reference
-// pipeline tests compare against and offline tools.
+// Materialize returns the view as a standalone pruned document, copied
+// straight out of the arena under the mask. Each call builds a fresh
+// copy: neither serving nor queries need one (queries evaluate under
+// the mask), only validation, the reference pipeline tests compare
+// against and offline tools.
 func (v *View) Materialize() *dom.Document {
-	return v.Doc.CloneMasked(v.Mask)
+	return v.Doc.ReadArena().MaterializeMasked(v.Mask)
 }
 
 // ComputeView runs the paper's compute-view algorithm (Figure 2): it

@@ -24,7 +24,8 @@ type Explanation struct {
 }
 
 // Explain labels doc for the request and returns an explanation for
-// every element and attribute, in document order.
+// every element and attribute, in document order. The explained nodes
+// are those of doc's ReadTree: on an arena-only document, a fresh copy.
 func (e *Engine) Explain(req Request, doc *dom.Document) ([]Explanation, error) {
 	lb, _, err := e.Label(req, doc)
 	if err != nil {

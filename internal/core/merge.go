@@ -53,14 +53,16 @@ func denyf(format string, args ...any) error {
 // provenance comes for free as the identity (View.OriginOf); the merger
 // reads attributes, content and child lists of view elements through
 // the mask so hidden parts of a shared node never count as "shown to
-// the requester".
+// the requester". So orig must have a tree (an arena-only document's
+// ReadTree copy, say) and view must be over that very tree: view.Doc ==
+// orig, with the mask computed against orig's numbering.
 func MergeView(orig *dom.Document, view *View, updated *dom.Document, writable func(*dom.Node) bool) (*dom.Document, error) {
 	newRoot := updated.DocumentElement()
 	origRoot := orig.DocumentElement()
-	if view.Empty() {
+	viewRoot := view.Doc.DocumentElement()
+	if viewRoot == nil || !view.Visible(viewRoot) {
 		return nil, denyf("the requester's view is empty")
 	}
-	viewRoot := view.Doc.DocumentElement()
 	if newRoot == nil {
 		return nil, denyf("deleting the document element requires deleting the document")
 	}

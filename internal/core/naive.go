@@ -23,7 +23,11 @@ import (
 // NaiveLabel(req, doc, true) therefore measures "no propagation, shared
 // node-sets" and NaiveLabel(req, doc, false) measures the fully per-node
 // strawman.
+//
+// The naive labeler walks a pointer tree: an arena-only document is
+// labeled over one ReadTree copy, whose nodes carry the arena's indexes.
 func (e *Engine) NaiveLabel(req Request, doc *dom.Document, memoize bool) (*Labeling, error) {
+	doc = doc.ReadTree()
 	axml, adtd, err := e.applicable(req)
 	if err != nil {
 		return nil, err

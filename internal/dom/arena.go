@@ -12,11 +12,13 @@ type span struct{ off, n uint32 }
 
 // Arena is the struct-of-arrays document representation: every node of
 // a renumbered Document, laid out as parallel arrays indexed by the
-// node's dense preorder index (Node.Order). The pointer tree remains
-// the adapter for DTD validation, updates and the reference pipeline
-// tests compare against; the arena is the only representation the
-// label, mask, masked-unparse and XPath sweeps run over, touching
-// cache-dense arrays instead of chasing pointers.
+// node's dense preorder index (Node.Order). It is the only
+// representation the label, mask, masked-unparse, XPath and
+// update-resolution sweeps run over, touching cache-dense arrays
+// instead of chasing pointers, and the only one a stored document
+// keeps (Document.ArenaOnly). The pointer tree is the parser's
+// working form and the adapter that DTD validation, the merge, update
+// apply and the reference pipeline tests take from Materialize.
 //
 // Layout invariants (see docs/ARENA.md):
 //
@@ -341,24 +343,114 @@ func (a *Arena) rendering() *rendering {
 }
 
 // Materialize reconstructs a standalone pointer-tree Document from the
-// arena — the adapter consumers such as DTD validation and the
-// reference pipeline tests operate on. The result is renumbered (its Order
-// values equal the arena indexes, since both follow the same preorder
-// convention) and does not share nodes with any other tree; it carries
-// no arena of its own.
+// arena — the adapter consumers such as DTD validation, the
+// write-through-views merge and the reference pipeline tests operate
+// on. The result is renumbered (its Order values equal the arena
+// indexes, since both follow the same preorder convention) and does not
+// share nodes with any other tree; it carries no arena of its own.
 func (a *Arena) Materialize() *Document {
+	d, _ := a.materialize(nil)
+	return d
+}
+
+// MaterializeNodes is Materialize that also returns the copied nodes by
+// arena index: nodes[i] is the copy of node i, so a caller holding
+// indexes into the arena (an update's resolved targets) reaches their
+// copies without walking the tree.
+func (a *Arena) MaterializeNodes() (doc *Document, nodes []Node) {
+	return a.materialize(nil)
+}
+
+// MaterializeMasked is Materialize restricted to the mask-visible nodes:
+// a hidden node is dropped together with its subtree, so with an
+// upward-closed view mask the result is the pruned view as a standalone
+// document. A nil mask copies everything. Unlike Materialize's, a
+// masked copy is renumbered densely, as Document.CloneMasked's is.
+func (a *Arena) MaterializeMasked(mask Bitmask) *Document {
+	d, _ := a.materialize(mask)
+	if mask != nil {
+		d.Renumber()
+	}
+	return d
+}
+
+// materialize copies the arena out to a pointer tree in one linear
+// sweep. Every node lives in one slab indexed by arena index, every
+// attribute and child list is a capacity-clipped window of one shared
+// pointer slice (each node is at most one list's member, and a later
+// append to a clipped window reallocates instead of overwriting its
+// neighbour), and all character data is sliced out of one string copy
+// of the arena's buffer — a handful of allocations per document instead
+// of several per node. A node is copied when the mask shows it and its
+// parent was copied.
+func (a *Arena) materialize(mask Bitmask) (*Document, []Node) {
 	d := &Document{
 		Version:    a.version,
 		Encoding:   a.encoding,
 		Standalone: a.standalone,
+		nodeCount:  len(a.kind),
 	}
 	if a.docType != nil {
 		dt := *a.docType
 		d.DocType = &dt
 	}
-	d.Node = a.Subtree(0, nil)
-	d.nodeCount = len(a.kind)
-	return d
+	nodes := make([]Node, len(a.kind))
+	lists := make([]*Node, len(a.kind))
+	text := string(a.bytes)
+	used := 0
+	window := func(k int) []*Node {
+		w := lists[used : used : used+k]
+		used += k
+		return w
+	}
+	for i := range a.kind {
+		if i > 0 && (!mask.VisibleIdx(int32(i)) || nodes[a.parent[i]].Type == 0) {
+			continue
+		}
+		nd := &nodes[i]
+		a.fill(nd, int32(i), text)
+		if p := a.parent[i]; p >= 0 {
+			nd.Parent = &nodes[p]
+			if nd.Type == AttributeNode {
+				nd.Parent.Attrs = append(nd.Parent.Attrs, nd)
+			} else {
+				nd.Parent.Children = append(nd.Parent.Children, nd)
+			}
+		}
+		if k := mask.CountRange(int(a.attrStart[i]), int(a.attrEnd[i])); k > 0 {
+			nd.Attrs = window(k)
+		}
+		k := 0
+		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+			if mask.VisibleIdx(c) {
+				k++
+			}
+		}
+		if k > 0 {
+			nd.Children = window(k)
+		}
+	}
+	d.Node = &nodes[0]
+	return d, nodes
+}
+
+// Path returns the diagnostic slash path of node i, such as
+// "/laboratory/project/@name" — exactly what Node.Path returns for the
+// node's copy in Materialize's tree, so reports produced over the arena
+// read the same as reports produced over a tree.
+func (a *Arena) Path(i int32) string {
+	p := a.parent[i]
+	switch {
+	case p < 0 && a.kind[i] == DocumentNode:
+		return "/"
+	case p < 0:
+		return "/" + stepLabel(a.kind[i], a.Name(i))
+	}
+	parent := a.Path(p)
+	if parent == "/" {
+		return "/" + stepLabel(a.kind[i], a.Name(i))
+	}
+	return parent + "/" + stepLabel(a.kind[i], a.Name(i))
 }
 
 // Subtree returns a detached pointer-tree copy of the node at index i
@@ -367,18 +459,8 @@ func (a *Arena) Materialize() *Document {
 // must be upward-closed, as view masks are: a hidden node is dropped
 // together with its subtree.
 func (a *Arena) Subtree(i int32, mask Bitmask) *Node {
-	nd := &Node{Type: a.kind[i], Order: int(i)}
-	switch a.kind[i] {
-	case ElementNode, AttributeNode, ProcessingInstructionNode:
-		nd.Name = a.Name(i)
-	}
-	switch a.kind[i] {
-	case AttributeNode, TextNode, CDATANode, CommentNode, ProcessingInstructionNode:
-		nd.Data = string(a.RawData(i))
-	}
-	if a.kind[i] == AttributeNode && a.Defaulted(i) {
-		nd.Defaulted = true
-	}
+	nd := &Node{}
+	a.fill(nd, i, "")
 	for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
 		if mask.VisibleIdx(at) {
 			ac := a.Subtree(at, mask)
@@ -394,4 +476,26 @@ func (a *Arena) Subtree(i int32, mask Bitmask) *Node {
 		}
 	}
 	return nd
+}
+
+// fill sets nd's own fields — kind, name, data, index and the
+// defaulting flag — from node i. Character data is sliced out of text,
+// a string copy of the whole buffer, when the caller made one (a
+// whole-document copy shares it), and copied node by node otherwise.
+func (a *Arena) fill(nd *Node, i int32, text string) {
+	nd.Type, nd.Order = a.kind[i], int(i)
+	switch nd.Type {
+	case ElementNode, AttributeNode, ProcessingInstructionNode:
+		nd.Name = a.syms.name(a.name[i])
+	}
+	switch nd.Type {
+	case AttributeNode, TextNode, CDATANode, CommentNode, ProcessingInstructionNode:
+		sp := a.raw[i]
+		if len(text) == len(a.bytes) {
+			nd.Data = text[sp.off : sp.off+sp.n]
+		} else {
+			nd.Data = string(a.bytes[sp.off : sp.off+sp.n])
+		}
+	}
+	nd.Defaulted = nd.Type == AttributeNode && a.defaulted.Get(int(i))
 }

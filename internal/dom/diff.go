@@ -75,13 +75,15 @@ func (c Change) String() string {
 // tree alignment in which element children are matched by a
 // longest-common-subsequence over their names, matched elements
 // recurse, and everything unmatched becomes an insertion or deletion.
-// Diff never mutates either document.
+// Diff never mutates either document; an arena-only document is diffed
+// over a ReadTree copy, so its Change nodes belong to that copy.
 //
 // The alignment is deterministic and conservative: a renamed element is
 // reported as delete+insert, and any difference in an element's direct
 // character data is a single EditContent on that element — exactly the
 // units the write-authorization check needs.
 func Diff(oldDoc, newDoc *Document) []Change {
+	oldDoc, newDoc = oldDoc.ReadTree(), newDoc.ReadTree()
 	oldRoot, newRoot := oldDoc.DocumentElement(), newDoc.DocumentElement()
 	var out []Change
 	switch {

@@ -18,9 +18,17 @@ type DocType struct {
 // Document is the root of a DOM tree. Its node has Type DocumentNode and
 // its children are the top-level comments, processing instructions, and
 // the single document element.
+//
+// A document may instead be arena-only (see ArenaOnly): it carries its
+// arena and metadata but no pointer tree, and Node is nil. Stored
+// documents are kept this way, since every read sweep runs over the
+// arena and the tree would more than double the document's heap. Every
+// method works on an arena-only document: the read-side ones through
+// ReadArena or ReadTree, and a mutation first gives the document a tree
+// of its own.
 type Document struct {
 	// Node is the document node; Node.Children holds the prolog items
-	// and the document element.
+	// and the document element. It is nil on an arena-only document.
 	Node *Node
 
 	// XMLDecl preserves the XML declaration attributes, if present.
@@ -50,18 +58,66 @@ func NewDocument() *Document {
 	return &Document{Node: &Node{Type: DocumentNode}, Version: "1.0"}
 }
 
+// ArenaOnly returns a document that carries d's metadata and arena
+// (built first if d has none) but no pointer tree. Nothing is copied;
+// d's tree is simply not referenced, so once d is dropped the tree can
+// be collected while the returned document lives on. The result is
+// immutable like any shared document: its arena is its numbering.
+func (d *Document) ArenaOnly() *Document {
+	ar := d.Arena()
+	return &Document{
+		Version:    d.Version,
+		Encoding:   d.Encoding,
+		Standalone: d.Standalone,
+		DocType:    d.DocType,
+		nodeCount:  ar.Len(),
+		arena:      ar,
+	}
+}
+
+// ReadTree returns the document's pointer tree: the document itself when
+// it has one, or, on an arena-only document, a fresh copy materialized
+// from the arena that is not cached — the mirror of ReadArena. The copy
+// is numbered like the arena (a node's Order is its arena index), so
+// labelings and masks computed against the document apply to it
+// unchanged, and the caller may mutate it freely. The serve path never
+// calls it; it costs one copy of the document per call.
+func (d *Document) ReadTree() *Document {
+	if !d.isArenaOnly() {
+		return d
+	}
+	return d.arena.Materialize()
+}
+
+// isArenaOnly reports whether d carries an arena and no tree.
+func (d *Document) isArenaOnly() bool { return d.Node == nil && d.arena != nil }
+
+// ownTree gives an arena-only document a tree of its own before a
+// mutation; the arena stays until the caller's Renumber discards it, as
+// on any parsed document.
+func (d *Document) ownTree() {
+	if d.isArenaOnly() {
+		d.Node = d.arena.Materialize().Node
+	}
+}
+
 // DocumentElement returns the document's root element, or nil if the
-// document has none (an invalid state outside of construction).
+// document has none (an invalid state outside of construction). On an
+// arena-only document it is the root of a fresh ReadTree copy.
 func (d *Document) DocumentElement() *Node {
-	if d == nil || d.Node == nil {
+	if d == nil {
 		return nil
 	}
-	return d.Node.FirstChildElement("")
+	if t := d.ReadTree(); t.Node != nil {
+		return t.Node.FirstChildElement("")
+	}
+	return nil
 }
 
 // SetDocumentElement installs e as the document element, replacing any
 // existing one and preserving prolog comments/PIs.
 func (d *Document) SetDocumentElement(e *Node) {
+	d.ownTree()
 	if old := d.DocumentElement(); old != nil {
 		d.Node.RemoveChild(old)
 	}
@@ -71,8 +127,12 @@ func (d *Document) SetDocumentElement(e *Node) {
 // Renumber assigns document-order indexes to every node in the document:
 // a preorder walk in which each element precedes its attributes, which
 // precede its children. XPath node-set ordering relies on these indexes.
-// It returns the number of nodes numbered.
+// It returns the number of nodes numbered. An arena-only document is
+// numbered by its arena already; Renumber leaves it as it is.
 func (d *Document) Renumber() int {
+	if d.isArenaOnly() {
+		return d.nodeCount
+	}
 	next := 0
 	var walk func(*Node)
 	walk = func(n *Node) {
@@ -96,8 +156,12 @@ func (d *Document) Renumber() int {
 // representation, caches it on the document, and returns it. The
 // parser calls this at parse time so serve-path documents always carry
 // an arena; mutating callers must Renumber (which discards the arena)
-// and rebuild before sharing the document again.
+// and rebuild before sharing the document again. An arena-only
+// document returns the arena it carries.
 func (d *Document) BuildArena() *Arena {
+	if d.isArenaOnly() {
+		return d.arena
+	}
 	d.NodeCount() // ensure the preorder numbering exists
 	d.arena = buildArena(d)
 	return d.arena
@@ -155,8 +219,12 @@ func (d *Document) Clone() *Document { return d.CloneMasked(nil) }
 // tree core.PruneDoc leaves behind — for consumers that need a
 // standalone tree (validation, offline tools, the reference pipeline
 // tests compare against). The serve path never calls it; it
-// serializes through the mask instead.
+// serializes through the mask instead. An arena-only document is
+// copied straight out of its arena.
 func (d *Document) CloneMasked(mask Bitmask) *Document {
+	if d.isArenaOnly() {
+		return d.arena.MaterializeMasked(mask)
+	}
 	var cloneNode func(n *Node) *Node
 	cloneNode = func(n *Node) *Node {
 		c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, Order: n.Order, Defaulted: n.Defaulted}
@@ -218,6 +286,7 @@ func (d *Document) CountNodes() int {
 // Walk visits every node of the document in document order (elements
 // before their attributes before their children) and calls f on each.
 // If f returns false the walk skips the node's attributes and children.
+// An arena-only document is walked over a fresh ReadTree copy.
 func (d *Document) Walk(f func(*Node) bool) {
 	var walk func(*Node)
 	walk = func(n *Node) {
@@ -231,5 +300,5 @@ func (d *Document) Walk(f func(*Node) bool) {
 			walk(c)
 		}
 	}
-	walk(d.Node)
+	walk(d.ReadTree().Node)
 }

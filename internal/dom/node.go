@@ -290,12 +290,16 @@ func (n *Node) Path() string {
 	return parent + "/" + n.label()
 }
 
-func (n *Node) label() string {
-	switch n.Type {
+func (n *Node) label() string { return stepLabel(n.Type, n.Name) }
+
+// stepLabel is one step of a diagnostic path: the element name, the
+// attribute name behind '@', or the node test of a nameless kind.
+func stepLabel(t NodeType, name string) string {
+	switch t {
 	case ElementNode:
-		return n.Name
+		return name
 	case AttributeNode:
-		return "@" + n.Name
+		return "@" + name
 	case TextNode, CDATANode:
 		return "text()"
 	case CommentNode:
@@ -303,7 +307,7 @@ func (n *Node) label() string {
 	case ProcessingInstructionNode:
 		return "processing-instruction()"
 	default:
-		return n.Type.String()
+		return t.String()
 	}
 }
 

@@ -86,7 +86,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		return fmt.Errorf("server: update of %q: %w", uri, err)
 	}
 	// The whole resolve→apply→log→commit sequence runs under the
-	// persistence lock: targets are indexes into the exact tree the
+	// persistence lock: targets are indexes into the exact document the
 	// commit replaces, so no concurrent write may slide between
 	// resolution and commit. Readers never take this lock.
 	s.persistMu.Lock()
@@ -134,7 +134,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 	newSource := out.String()
 	// Re-parse and re-validate the updated source exactly as a PUT
 	// would: the committed StoredDoc must be parse(serialize(apply)),
-	// the same tree replay reconstructs, and an update that breaks DTD
+	// the same document replay reconstructs, and an update that breaks DTD
 	// validity fails here with nothing committed.
 	nd, err := s.Docs.prepareDocument(uri, newSource)
 	if err != nil {
@@ -155,7 +155,7 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		card.NodesCopied += int64(copied)
 	}
 	// Copy-on-write epilogue, as after a PUT: release the superseded
-	// tree from the node-set index and pre-warm the successor.
+	// document from the node-set index and pre-warm the successor.
 	if idx := s.Engine.AuthIndex(); idx != nil {
 		idx.InvalidateDoc(sd.Doc)
 		s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)

@@ -20,7 +20,7 @@ import (
 //
 // All four generations only ever grow, so an entry keyed under an older
 // vector can never be served again — and it pins a superseded document
-// version (tree and arena) for as long as it stays. The cache therefore
+// version (its arena) for as long as it stays. The cache therefore
 // holds entries of one vector only, gen: the first lookup or install
 // carrying a vector newer in any component retires every entry, and an
 // install under a vector lower in any component is refused.

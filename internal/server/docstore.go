@@ -12,8 +12,8 @@ import (
 	"xmlsec/internal/xmlparse"
 )
 
-// StoredDoc is a document registered at the site: its source text, the
-// parsed tree, and its DTD binding.
+// StoredDoc is a document registered at the site: its source text, its
+// arena, and its DTD binding.
 type StoredDoc struct {
 	// URI is the document's identifier (the authorization object key).
 	URI string
@@ -22,12 +22,17 @@ type StoredDoc struct {
 	// DTDURI is the URI of the DTD the document is an instance of;
 	// empty for DTD-less documents.
 	DTDURI string
-	// Doc is the parsed tree (attribute defaults applied). It carries
-	// the arena the parser built (Doc.ReadArena), which the serve
-	// path's label/mask/unparse sweeps and XPath evaluation run over;
-	// the tree is the adapter for DTD validation and updates. Doc is
-	// immutable for the lifetime of this registration: a PUT installs
-	// a whole new StoredDoc under a new generation.
+	// Doc is the parsed document (attribute defaults applied), stored
+	// arena-only (dom.Document.ArenaOnly): it carries the arena the
+	// parser built (Doc.ReadArena), which labeling, masking, masked
+	// serialization, XPath and update resolution run over, and no
+	// pointer tree — Doc.Node is nil. The tree the parser built lives
+	// only as long as parsing and DTD validation; the few consumers
+	// that need one (the PUT merge, update apply, oracles) take a
+	// private copy with Doc.ReadTree. Dropping the tree shrinks each
+	// stored document's live heap by more than half (docs/ARENA.md).
+	// Doc is immutable for the lifetime of this registration: a PUT
+	// installs a whole new StoredDoc under a new generation.
 	Doc *dom.Document
 	// DTD is the parsed document type definition, or nil.
 	DTD *dtd.DTD
@@ -127,12 +132,17 @@ func (s *DocStore) loader() xmlparse.MapLoader {
 	return loader
 }
 
+// prepareDocumentWith parses and validates a document on the parser's
+// transient tree and returns it stored arena-only: every registration
+// path (site load, AddDocument, PUT, update scripts, WAL replay and
+// snapshot restore) comes through here, so the tree dies with the call
+// that parsed it — on a batch load, inside its worker.
 func prepareDocumentWith(loader xmlparse.MapLoader, uri, source string) (*StoredDoc, error) {
 	res, err := xmlparse.Parse(source, xmlparse.Options{Loader: loader, ApplyDefaults: true})
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", uri, err)
 	}
-	sd := &StoredDoc{URI: uri, Source: source, Doc: res.Doc}
+	sd := &StoredDoc{URI: uri, Source: source}
 	if res.Doc.DocType != nil && res.Doc.DocType.SystemID != "" {
 		sd.DTDURI = res.Doc.DocType.SystemID
 	}
@@ -143,6 +153,7 @@ func prepareDocumentWith(loader xmlparse.MapLoader, uri, source string) (*Stored
 			return nil, fmt.Errorf("server: document %q is not valid: %w", uri, errs)
 		}
 	}
+	sd.Doc = res.Doc.ArenaOnly()
 	return sd, nil
 }
 

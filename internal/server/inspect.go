@@ -146,7 +146,7 @@ func (s *Site) handleCachez(w http.ResponseWriter, r *http.Request) {
 }
 
 // authindexzDoc is one indexed document in GET /debug/authindexz; URI
-// is "(replaced)" for superseded trees awaiting lazy invalidation.
+// is "(replaced)" for superseded documents awaiting lazy invalidation.
 type authindexzDoc struct {
 	URI   string `json:"uri"`
 	Gen   uint64 `json:"gen"`

@@ -66,7 +66,7 @@ type mutation struct {
 	Ver int `json:"v,omitempty"`
 	// Script and Targets are the update delta: the script's canonical
 	// JSON form and the resolved target indexes (dense preorder, into
-	// the pre-update tree) per operation. The delta is what makes the
+	// the pre-update document) per operation. The delta is what makes the
 	// record small — the document itself is never re-journaled.
 	Script  string    `json:"script,omitempty"`
 	Targets [][]int32 `json:"targets,omitempty"`
@@ -255,7 +255,7 @@ func (s *Site) applyMutation(m mutation) error {
 		if err := s.Docs.AddDocument(m.URI, m.Source); err != nil {
 			return err
 		}
-		// The replay replaced a parsed tree: release the superseded
+		// The replay replaced a stored document: release the superseded
 		// pointer from the node-set index (warming waits for traffic).
 		if old != nil {
 			if idx := s.Engine.AuthIndex(); idx != nil {
@@ -292,12 +292,12 @@ func (s *Site) applyMutation(m mutation) error {
 
 // replayUpdate re-applies an update delta record: parse the journaled
 // script, re-execute it against the recorded target indexes on the
-// replayed tree, and install the result — the recovery half of
+// replayed document, and install the result — the recovery half of
 // ApplyUpdate. Authorization is not re-checked: the record exists only
 // because the original request passed it, and the identity predicates
 // would need state the log does not carry. The pre/post content hashes
-// guard the substituted trust: if the replayed tree is not the tree the
-// delta was resolved against, or the re-applied result is not the
+// guard the substituted trust: if the replayed document is not the one
+// the delta was resolved against, or the re-applied result is not the
 // document the site served afterwards, recovery fails rather than
 // serving a silently different document.
 func (s *Site) replayUpdate(m mutation) error {

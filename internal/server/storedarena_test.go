@@ -10,11 +10,13 @@ import (
 )
 
 // assertStoredDocsCarryArena fails unless every document the site
-// stores carries a cached arena. Labeling, masking, masked
-// serialization and XPath all read Doc.ReadArena, which silently
-// flattens the tree again on every call for a document without one —
-// so a registration path that lost the parser's arena would not fail
-// any request, only make every request rebuild it.
+// stores carries a cached arena and no pointer tree. Labeling,
+// masking, masked serialization and XPath all read Doc.ReadArena, which
+// silently flattens the tree again on every call for a document without
+// one — so a registration path that lost the parser's arena would not
+// fail any request, only make every request rebuild it. Likewise a path
+// that kept the parser's tree would fail nothing, only hold the tree's
+// heap for the document's lifetime.
 func assertStoredDocsCarryArena(t *testing.T, stage string, site *Site) {
 	t.Helper()
 	uris := site.Docs.URIs()
@@ -26,12 +28,16 @@ func assertStoredDocsCarryArena(t *testing.T, stage string, site *Site) {
 		if doc.ReadArena() != doc.ReadArena() {
 			t.Errorf("%s: stored document %q carries no cached arena", stage, uri)
 		}
+		if doc.Node != nil {
+			t.Errorf("%s: stored document %q keeps its pointer tree", stage, uri)
+		}
 	}
 }
 
 // TestStoredDocsCarryArena follows a document through every way the
-// site installs one — site-directory load, PUT, update script, WAL
-// replay and snapshot restore — and requires a cached arena after each.
+// site installs one — site-directory load, AddDocument, PUT, update
+// script, WAL replay and snapshot restore — and requires a cached arena
+// and no tree (Doc.Node == nil) after each.
 func TestStoredDocsCarryArena(t *testing.T) {
 	site, err := LoadSiteDir("../../site")
 	if err != nil {

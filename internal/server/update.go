@@ -78,7 +78,7 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 	if err != nil {
 		return err
 	}
-	// The PUT replaced the parsed tree: release the superseded document
+	// The PUT replaced the stored document: release the superseded one
 	// from the node-set index eagerly (its pointer would never be looked
 	// up again, only pinned) and pre-fill the successor so the next
 	// requester's labeling finds warm node-sets.
@@ -138,8 +138,14 @@ func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri st
 	writable := func(n *dom.Node) bool {
 		return pol.Grants(lb.FinalOf(n))
 	}
+	// The merge walks a pointer tree and relies on the view's nodes
+	// being the original's, so it runs over one private copy of the
+	// stored document with the read view's mask laid on that copy: the
+	// copy's nodes carry the arena's indexes, which the mask and the
+	// write labeling are keyed by.
 	tm := trace.StartStageChild(ctx, obs.StageMerge)
-	merged, err := core.MergeView(sd.Doc, readView, res.Doc, writable)
+	orig := sd.Doc.ReadTree()
+	merged, err := core.MergeView(orig, &core.View{Doc: orig, Mask: readView.Mask}, res.Doc, writable)
 	tm.End()
 	if err != nil {
 		var wde *core.WriteDeniedError
@@ -162,7 +168,7 @@ func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri st
 	}
 	// The replacement is durable before it is visible: the WAL record
 	// is appended (and, under -fsync always, flushed) before the commit
-	// swaps the parsed tree in.
+	// swaps the new document in.
 	if err := s.putDocumentLocked(ctx, uri, merged.String()); err != nil {
 		return nil, err
 	}

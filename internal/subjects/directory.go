@@ -24,6 +24,18 @@ type Directory struct {
 	// gen changes whenever the membership graph changes, so caches
 	// derived from memberships (the class index) can invalidate.
 	gen atomic.Uint64
+
+	// closure caches every group's transitive memberships for one
+	// generation, so MemberOf answers a nested membership with map
+	// lookups instead of a search.
+	closure atomic.Pointer[groupClosure]
+}
+
+// groupClosure maps every group to the set of groups it is a member of,
+// directly or through nesting, as of directory generation gen.
+type groupClosure struct {
+	gen uint64
+	up  map[string]map[string]bool
 }
 
 type userEntry struct {
@@ -185,43 +197,55 @@ func (d *Directory) MemberOf(member, container string) bool {
 	} else {
 		return false
 	}
-	// The common cases need no search: a direct membership, or a miss
-	// among direct groups that are members of nothing themselves.
 	if direct[container] {
 		return true
 	}
-	nested := false
+	// A nested membership: some direct group is, transitively, a member
+	// of container. The closure answers without allocating; the engine
+	// asks once per authorization on every view miss.
+	up := d.groupClosure().up
 	for g := range direct {
-		if e := d.groups[g]; e != nil && len(e.parents) > 0 {
-			nested = true
-			break
-		}
-	}
-	if !nested {
-		return false
-	}
-	seen := make(map[string]bool)
-	stack := make([]string, 0, len(direct))
-	for g := range direct {
-		stack = append(stack, g)
-	}
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[g] {
-			continue
-		}
-		seen[g] = true
-		if g == container {
+		if up[g][container] {
 			return true
-		}
-		if e := d.groups[g]; e != nil {
-			for p := range e.parents {
-				stack = append(stack, p)
-			}
 		}
 	}
 	return false
+}
+
+// groupClosure returns the transitive group memberships of the current
+// generation, computing them on the first call after a change. The
+// directory is only mutated before it is shared (configuration load),
+// so concurrent readers at most compute the same closure twice.
+func (d *Directory) groupClosure() *groupClosure {
+	gen := d.gen.Load()
+	if c := d.closure.Load(); c != nil && c.gen == gen {
+		return c
+	}
+	c := &groupClosure{gen: gen, up: make(map[string]map[string]bool, len(d.groups))}
+	// The membership graph is acyclic (AddGroup refuses cycles), so the
+	// memoized depth-first visit terminates.
+	var visit func(g string) map[string]bool
+	visit = func(g string) map[string]bool {
+		if s, ok := c.up[g]; ok {
+			return s
+		}
+		s := make(map[string]bool)
+		if e := d.groups[g]; e != nil {
+			for p := range e.parents {
+				s[p] = true
+				for q := range visit(p) {
+					s[q] = true
+				}
+			}
+		}
+		c.up[g] = s
+		return s
+	}
+	for g := range d.groups {
+		visit(g)
+	}
+	d.closure.Store(c)
+	return c
 }
 
 // DirectGroups returns the direct memberships of a user or group,

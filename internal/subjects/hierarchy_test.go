@@ -1,6 +1,11 @@
 package subjects
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+)
 
 func testDir(t *testing.T) *Directory {
 	t.Helper()
@@ -47,6 +52,120 @@ func TestMemberOf(t *testing.T) {
 			t.Errorf("MemberOf(%s, %s) = %v, want %v", c.member, c.container, got, c.want)
 		}
 	}
+}
+
+// memberOfBySearch is the depth-first search MemberOf ran before the
+// closure: the reference the closure is checked against.
+func memberOfBySearch(d *Directory, member, container string) bool {
+	if member == container || (d.PublicGroup != "" && container == d.PublicGroup) {
+		return true
+	}
+	var stack []string
+	if u := d.users[member]; u != nil {
+		for g := range u.groups {
+			stack = append(stack, g)
+		}
+	} else if g := d.groups[member]; g != nil {
+		for p := range g.parents {
+			stack = append(stack, p)
+		}
+	}
+	seen := map[string]bool{}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if g == container {
+			return true
+		}
+		if seen[g] {
+			continue
+		}
+		seen[g] = true
+		if e := d.groups[g]; e != nil {
+			for p := range e.parents {
+				stack = append(stack, p)
+			}
+		}
+	}
+	return false
+}
+
+// TestMemberOfMatchesSearch holds the membership closure to a plain
+// graph search on random nested group DAGs, including after the
+// directory changes under a closure already computed.
+func TestMemberOfMatchesSearch(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := NewDirectory()
+		check := func() {
+			ids := append(d.Users(), d.Groups()...)
+			for _, m := range ids {
+				for _, c := range ids {
+					if got, want := d.MemberOf(m, c), memberOfBySearch(d, m, c); got != want {
+						t.Fatalf("seed %d: MemberOf(%s, %s) = %v, search says %v", seed, m, c, got, want)
+					}
+				}
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for g := 0; g < 8; g++ {
+				// Parents only among lower-numbered groups: acyclic.
+				name := fmt.Sprintf("g%d", g)
+				var parents []string
+				for p := 0; p < g; p++ {
+					if rng.Intn(4) == 0 {
+						parents = append(parents, fmt.Sprintf("g%d", p))
+					}
+				}
+				if err := d.AddGroup(name, parents...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for u := 0; u < 6; u++ {
+				if err := d.AddUser(fmt.Sprintf("u%d", u), fmt.Sprintf("g%d", rng.Intn(8))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check()
+		}
+	}
+}
+
+// TestMemberOfNestedAllocatesNothing pins the view-miss cost of a
+// nested membership test: once the directory's closure is built, a
+// user whose direct groups are themselves members of groups is checked
+// against a container — hit or miss — without allocating.
+func TestMemberOfNestedAllocatesNothing(t *testing.T) {
+	d := testDir(t)
+	d.MemberOf("sam", "Staff") // builds the closure
+	if n := testing.AllocsPerRun(200, func() {
+		if !d.MemberOf("sam", "Staff") || !d.MemberOf("ada", "Staff") || d.MemberOf("sam", "Foreign") {
+			t.Fatal("wrong membership answer")
+		}
+	}); n != 0 {
+		t.Errorf("a nested membership test allocates %.0f times, want 0", n)
+	}
+}
+
+// TestMemberOfConcurrentFirstUse has many requests race to build the
+// closure of a freshly loaded directory, as the first view misses after
+// a configuration load do; run under -race.
+func TestMemberOfConcurrentFirstUse(t *testing.T) {
+	d := testDir(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if !d.MemberOf("sam", "Staff") || d.MemberOf("tom", "Staff") {
+					t.Error("wrong membership answer")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDirectoryErrors(t *testing.T) {

@@ -25,7 +25,9 @@ func (e *ConflictError) Error() string {
 // Resolve, or recorded in a write-ahead-log delta record) against a
 // fresh copy of doc, and returns the updated document together with
 // the number of nodes copied for it (the copy-on-write cost: the
-// cloned document plus every inserted fragment node).
+// copied document plus every inserted fragment node). The copy is one
+// Materialize of doc's arena, which also hands back each copied node by
+// its arena index, the address space the targets are in.
 //
 // Apply is purely structural — it consults no authorization state and
 // no clock, so the same (document, script, targets) triple always
@@ -37,21 +39,20 @@ func (e *ConflictError) Error() string {
 // address that snapshot, and apply in script order. An operation whose
 // target an earlier operation detached fails with a *ConflictError and
 // nothing is returned — atomicity is the caller's commit discipline
-// (nothing observed the clone).
+// (nothing observed the copy).
 func Apply(doc *dom.Document, s *Script, targets [][]int32) (*dom.Document, int, error) {
 	if len(targets) != len(s.Ops) {
 		return nil, 0, fmt.Errorf("update: %d target sets for %d operations", len(targets), len(s.Ops))
 	}
-	out := doc.Clone()
+	out, nodes := doc.ReadArena().MaterializeNodes()
 	copied := out.NodeCount()
-	nodes := nodeTable(out)
 	for i := range s.Ops {
 		op := &s.Ops[i]
 		for _, t := range targets[i] {
-			if int(t) < 0 || int(t) >= len(nodes) || nodes[t] == nil {
+			if int(t) < 0 || int(t) >= len(nodes) {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target index %d out of range", t)}
 			}
-			n := nodes[t]
+			n := &nodes[t]
 			if !attached(out, n) {
 				return nil, 0, &ConflictError{Op: i, Reason: fmt.Sprintf("target %s was removed by an earlier operation", op.Target)}
 			}
@@ -78,7 +79,7 @@ func attached(doc *dom.Document, n *dom.Node) bool {
 	return false
 }
 
-// applyOne executes op against one target node of the clone, returning
+// applyOne executes op against one target node of the copy, returning
 // how many nodes it inserted.
 func applyOne(i int, op *Op, n *dom.Node) (int, error) {
 	conflict := func(format string, args ...any) error {

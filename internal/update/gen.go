@@ -19,9 +19,9 @@ import (
 // generated script, so the generator lives here, not in a test file.
 //
 // The generator is deterministic in rng and doc; it returns nil when
-// doc offers no usable targets.
+// doc offers no usable targets. It reads doc's tree through ReadTree.
 func RandomScript(rng *rand.Rand, doc *dom.Document, nops int) *Script {
-	cands := candidates(doc)
+	cands := candidates(doc.ReadTree())
 	if len(cands) == 0 || nops <= 0 {
 		return nil
 	}

@@ -82,10 +82,14 @@ type Resolution struct {
 // The error report collects every failing operation, not just the
 // first, so a client can fix a script in one round trip. A nil report
 // means the whole script resolved.
+//
+// Resolution runs on doc's arena alone (doc.ReadArena): kinds, parents,
+// attribute ranges and child lists are arena lookups, and the reasons
+// name nodes by Arena.Path, which reads exactly like Node.Path. A
+// stored, arena-only document is resolved without building a tree.
 func Resolve(ctx context.Context, doc *dom.Document, s *Script, visible, writable func(int32) bool) (*Resolution, []OpError) {
-	nodes := nodeTable(doc)
 	r := &resolver{
-		doc: doc, nodes: nodes, visible: visible, writable: writable,
+		doc: doc, ar: doc.ReadArena(), visible: visible, writable: writable,
 		res: &Resolution{Targets: make([][]int32, len(s.Ops))},
 	}
 	var report []OpError
@@ -100,21 +104,9 @@ func Resolve(ctx context.Context, doc *dom.Document, s *Script, visible, writabl
 	return r.res, nil
 }
 
-// nodeTable maps dense preorder indexes back to tree nodes.
-func nodeTable(doc *dom.Document) []*dom.Node {
-	nodes := make([]*dom.Node, doc.NodeCount())
-	doc.Walk(func(n *dom.Node) bool {
-		if n.Order >= 0 && n.Order < len(nodes) {
-			nodes[n.Order] = n
-		}
-		return true
-	})
-	return nodes
-}
-
 type resolver struct {
 	doc      *dom.Document
-	nodes    []*dom.Node
+	ar       *dom.Arena
 	visible  func(int32) bool
 	writable func(int32) bool
 	res      *Resolution
@@ -145,11 +137,10 @@ func (r *resolver) resolveOp(ctx context.Context, i int, op *Op) []OpError {
 	}
 	var errs []OpError
 	for _, t := range vis {
-		n := r.nodes[t]
-		if n == nil {
+		if t < 0 || int(t) >= r.ar.Len() {
 			return fail(ClassInvalid, "target %s selects an unindexed node", op.Target)
 		}
-		if e := r.checkTarget(i, op, t, n); e != nil {
+		if e := r.checkTarget(i, op, t); e != nil {
 			errs = append(errs, *e)
 		}
 	}
@@ -160,88 +151,94 @@ func (r *resolver) resolveOp(ctx context.Context, i int, op *Op) []OpError {
 	return nil
 }
 
-// checkTarget applies one operation's authority mapping to one target.
-func (r *resolver) checkTarget(i int, op *Op, t int32, n *dom.Node) *OpError {
+// checkTarget applies one operation's authority mapping to target t.
+func (r *resolver) checkTarget(i int, op *Op, t int32) *OpError {
+	ar := r.ar
 	fail := func(class, format string, args ...any) *OpError {
 		return &OpError{Op: i, Kind: op.Kind, Class: class, Reason: fmt.Sprintf(format, args...)}
 	}
-	canWrite := func(m *dom.Node) bool {
+	canWrite := func(m int32) bool {
 		r.res.TargetsChecked++
-		return r.writable(int32(m.Order))
+		return r.writable(m)
 	}
+	// underElement reports whether t's parent is an element: the
+	// document element's parent is the document node.
+	parent := ar.Parent(t)
+	underElement := parent >= 0 && ar.Kind(parent) == dom.ElementNode
+	kind := ar.Kind(t)
 	switch op.Kind {
 	case OpInsertInto:
-		if n.Type != dom.ElementNode {
-			return fail(ClassConflict, "%s is not an element", n.Path())
+		if kind != dom.ElementNode {
+			return fail(ClassConflict, "%s is not an element", ar.Path(t))
 		}
-		if !canWrite(n) {
-			return fail(ClassForbidden, "no write authority on %s (insert)", n.Path())
+		if !canWrite(t) {
+			return fail(ClassForbidden, "no write authority on %s (insert)", ar.Path(t))
 		}
 	case OpInsertBefore, OpInsertAfter:
-		if n.Type != dom.ElementNode {
-			return fail(ClassConflict, "%s is not an element", n.Path())
+		if kind != dom.ElementNode {
+			return fail(ClassConflict, "%s is not an element", ar.Path(t))
 		}
-		if n.Parent == nil || n.Parent.Type != dom.ElementNode {
+		if !underElement {
 			return fail(ClassConflict, "cannot insert beside the document element")
 		}
-		if !canWrite(n.Parent) {
-			return fail(ClassForbidden, "no write authority on %s (insert)", n.Parent.Path())
+		if !canWrite(parent) {
+			return fail(ClassForbidden, "no write authority on %s (insert)", ar.Path(parent))
 		}
 	case OpDelete:
-		switch n.Type {
+		switch kind {
 		case dom.AttributeNode:
-			if !canWrite(n) {
-				return fail(ClassForbidden, "no write authority on %s (delete)", n.Path())
+			if !canWrite(t) {
+				return fail(ClassForbidden, "no write authority on %s (delete)", ar.Path(t))
 			}
 		case dom.ElementNode:
-			if n.Parent == nil || n.Parent.Type != dom.ElementNode {
+			if !underElement {
 				return fail(ClassConflict, "cannot delete the document element")
 			}
-			if !r.deletable(n) {
-				return fail(ClassForbidden, "no write authority on %s (delete)", n.Path())
+			if !r.deletable(t) {
+				return fail(ClassForbidden, "no write authority on %s (delete)", ar.Path(t))
 			}
 		default:
-			return fail(ClassConflict, "%s is not an element or attribute", n.Path())
+			return fail(ClassConflict, "%s is not an element or attribute", ar.Path(t))
 		}
 	case OpReplaceNode:
-		if n.Type != dom.ElementNode {
-			return fail(ClassConflict, "%s is not an element", n.Path())
+		if kind != dom.ElementNode {
+			return fail(ClassConflict, "%s is not an element", ar.Path(t))
 		}
-		if n.Parent == nil || n.Parent.Type != dom.ElementNode {
+		if !underElement {
 			return fail(ClassConflict, "cannot replace the document element")
 		}
-		if !r.deletable(n) || !canWrite(n.Parent) {
-			return fail(ClassForbidden, "no write authority on %s (replace)", n.Path())
+		if !r.deletable(t) || !canWrite(parent) {
+			return fail(ClassForbidden, "no write authority on %s (replace)", ar.Path(t))
 		}
 	case OpReplaceText:
-		if n.Type != dom.ElementNode {
-			return fail(ClassConflict, "%s is not an element", n.Path())
+		if kind != dom.ElementNode {
+			return fail(ClassConflict, "%s is not an element", ar.Path(t))
 		}
 		// The edit rewrites the element's direct content, so the
 		// requester must have been shown all of it — hidden character
 		// data or hidden element children forbid the edit (the same
 		// guard the whole-document merge applies).
-		for _, c := range n.Children {
-			if !r.visible(int32(c.Order)) {
-				return fail(ClassForbidden, "content of %s is not fully readable", n.Path())
+		for c := ar.FirstChild(t); c >= 0; c = ar.NextSibling(c) {
+			if !r.visible(c) {
+				return fail(ClassForbidden, "content of %s is not fully readable", ar.Path(t))
 			}
 		}
-		if !canWrite(n) {
-			return fail(ClassForbidden, "no write authority on %s (content edit)", n.Path())
+		if !canWrite(t) {
+			return fail(ClassForbidden, "no write authority on %s (content edit)", ar.Path(t))
 		}
 	case OpSetAttr:
-		if n.Type != dom.ElementNode {
-			return fail(ClassConflict, "%s is not an element", n.Path())
+		if kind != dom.ElementNode {
+			return fail(ClassConflict, "%s is not an element", ar.Path(t))
 		}
-		if a := n.AttrNode(op.Name); a != nil {
+		if a := r.attr(t, op.Name); a >= 0 {
 			// Existing attribute: writable or refused — and an
 			// invisible attribute refuses with the same words, so the
 			// write path confirms nothing the view withheld.
-			if !r.visible(int32(a.Order)) || !canWrite(a) {
-				return fail(ClassForbidden, "cannot set @%s on %s", op.Name, n.Path())
+			if !r.visible(a) || !canWrite(a) {
+				return fail(ClassForbidden, "cannot set @%s on %s", op.Name, ar.Path(t))
 			}
-		} else if !canWrite(n) {
-			return fail(ClassForbidden, "cannot set @%s on %s", op.Name, n.Path())
+		} else if !canWrite(t) {
+			return fail(ClassForbidden, "cannot set @%s on %s", op.Name, ar.Path(t))
 		}
 	default:
 		return fail(ClassInvalid, "unknown operation")
@@ -249,22 +246,38 @@ func (r *resolver) checkTarget(i int, op *Op, t int32, n *dom.Node) *OpError {
 	return nil
 }
 
+// attr returns the index of element e's attribute named name, or -1.
+func (r *resolver) attr(e int32, name string) int32 {
+	sym, ok := r.ar.LookupSym(name)
+	if !ok {
+		return -1
+	}
+	lo, hi := r.ar.Attrs(e)
+	for a := lo; a < hi; a++ {
+		if r.ar.NameSym(a) == sym {
+			return a
+		}
+	}
+	return -1
+}
+
 // deletable mirrors core.MergeView's rule: removing an element needs
 // write authority over every element and attribute of its subtree,
 // visible or not.
-func (r *resolver) deletable(n *dom.Node) bool {
+func (r *resolver) deletable(e int32) bool {
 	r.res.TargetsChecked++
-	if !r.writable(int32(n.Order)) {
+	if !r.writable(e) {
 		return false
 	}
-	for _, a := range n.Attrs {
+	lo, hi := r.ar.Attrs(e)
+	for a := lo; a < hi; a++ {
 		r.res.TargetsChecked++
-		if !r.writable(int32(a.Order)) {
+		if !r.writable(a) {
 			return false
 		}
 	}
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode && !r.deletable(c) {
+	for c := r.ar.FirstChild(e); c >= 0; c = r.ar.NextSibling(c) {
+		if r.ar.Kind(c) == dom.ElementNode && !r.deletable(c) {
 			return false
 		}
 	}

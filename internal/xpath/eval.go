@@ -42,9 +42,10 @@ func (p *Path) Select(ctx *dom.Node) ([]*dom.Node, error) {
 // SelectDoc is Select with the document node of doc as context: the
 // result is in document order with no duplicates. SelectDoc always
 // evaluates over the pointer tree — it is the differential oracle the
-// arena route (SelectIndexes) is checked against.
+// arena route (SelectIndexes) is checked against. An arena-only document
+// is evaluated over a fresh ReadTree copy.
 func (p *Path) SelectDoc(doc *dom.Document) ([]*dom.Node, error) {
-	return p.Select(doc.Node)
+	return p.Select(doc.ReadTree().Node)
 }
 
 // Matches reports whether node n is in the node-set selected by p when
