@@ -63,8 +63,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	siteDir := flag.String("site", "site", "site configuration directory")
-	validate := flag.Bool("validate-views", false, "re-validate every view against the loosened DTD")
-	perRequest := flag.Bool("parse-per-request", false, "re-parse documents on every request (fully on-line cycle)")
 	cacheSize := flag.Int("view-cache", 0, "enable the class-keyed view cache with this many entries (0 = off)")
 	auditPath := flag.String("audit", "", "append JSON-lines audit records to this file")
 	auditMaxBytes := flag.Int64("audit-max-bytes", 0, "rotate the audit file past this size (0 = never rotate)")
@@ -114,8 +112,6 @@ func main() {
 		os.Exit(1)
 	}
 	site.Logger = logger
-	site.ValidateViews = *validate
-	site.ParsePerRequest = *perRequest
 	site.EnablePprof = *pprofOn
 	site.EnableAdminAPI = *adminOn
 	site.AdminGroup = *adminGroup

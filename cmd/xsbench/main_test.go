@@ -97,12 +97,12 @@ func TestExpCache(t *testing.T) {
 
 func TestExpStages(t *testing.T) {
 	out := runExp(t, expStages)
-	for _, stage := range []string{"parse", "label", "prune", "validate", "unparse"} {
+	for _, stage := range []string{"label", "prune", "unparse"} {
 		if !strings.Contains(out, "\n"+stage+" ") {
 			t.Errorf("stages output missing %s:\n%s", stage, out)
 		}
 	}
-	if !strings.Contains(out, "60 fully on-line GETs") {
+	if !strings.Contains(out, "60 uncached GETs") {
 		t.Errorf("stages output:\n%s", out)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // contract: carrying it costs no allocations beyond the seed serve
 // path (the card comes from a pool and rides in the same context value
 // the request ID already occupied) and ≤2% added latency. Both
-// scenarios that matter are measured: the fully on-line cycle (every
+// scenarios that matter are measured: the uncached serve path (every
 // read stage runs, so every counter and stage timer in the card is
 // exercised) and the cached serve path (the microsecond-scale hot path
 // where a fixed overhead would weigh the most). The baseline is what
@@ -28,7 +28,7 @@ import (
 // obsBenchResult is one measured scenario+mode, and the record format
 // of BENCH_obs.json.
 type obsBenchResult struct {
-	Scenario    string  `json:"scenario"` // "online", "cached"
+	Scenario    string  `json:"scenario"` // "uncached", "cached"
 	Mode        string  `json:"mode"`     // "no-card", "card"
 	NsPerOp     float64 `json:"ns_op"`
 	BytesOp     int64   `json:"bytes_op"`
@@ -48,17 +48,13 @@ func expObs() error {
 		if err != nil {
 			return nil, err
 		}
-		switch scenario {
-		case "online":
-			site.ParsePerRequest = true
-			site.ValidateViews = true
-		case "cached":
+		if scenario == "cached" {
 			site.EnableViewCache(64)
 		}
 		return &prepared{scenario: scenario, card: card, site: site}, nil
 	}
 	var runs []*prepared
-	for _, scenario := range []string{"online", "cached"} {
+	for _, scenario := range []string{"uncached", "cached"} {
 		for _, card := range []bool{false, true} {
 			p, err := mk(scenario, card)
 			if err != nil {
@@ -166,8 +162,8 @@ func expObs() error {
 	}
 	fmt.Println("(no-card = the seed serve path, request ID threaded through the context;")
 	fmt.Println(" card = pooled cost card folded into the same context value, every counter")
-	fmt.Println(" and stage timer live, stage histograms fed at completion; online = fully")
-	fmt.Println(" on-line cycle, cached = class-keyed view-cache hit)")
+	fmt.Println(" and stage timer live, stage histograms fed at completion; uncached = label,")
+	fmt.Println(" prune and unparse on every request, cached = class-keyed view-cache hit)")
 
 	return writeJSON(results)
 }

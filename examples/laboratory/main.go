@@ -25,7 +25,6 @@ import (
 
 func main() {
 	site := server.NewSite()
-	site.ValidateViews = true
 
 	// Subjects: the directory of the examples plus credentials.
 	site.Directory = labexample.Directory()

@@ -1,7 +1,9 @@
 package authz
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"xmlsec/internal/subjects"
@@ -274,6 +276,60 @@ func TestStoreResultsAreAppendSafe(t *testing.T) {
 		_ = s.ForSchema("d.dtd")
 	}); n != 0 {
 		t.Errorf("lookups allocate %.0f times, want 0", n)
+	}
+}
+
+// TestStoreResultsAreAppendSafeConcurrently is the concurrent twin of
+// TestStoreResultsAreAppendSafe, for the race detector: readers append
+// to the slices ForDocument and ForSchema return — as the engine does
+// when it joins a document's authorizations with its DTD's — while Add
+// grows the same lists. No append may write into the store, and every
+// result a reader holds stays a prefix of the order of the Adds.
+func TestStoreResultsAreAppendSafeConcurrently(t *testing.T) {
+	const adds = 200
+	inst := make([]*Authorization, adds)
+	schema := make([]*Authorization, adds)
+	for i := range inst {
+		inst[i] = MustParse(fmt.Sprintf(`<<Public,*,*>,d.xml:/a%d,read,+,R>`, i))
+		schema[i] = MustParse(fmt.Sprintf(`<<Public,*,*>,d.dtd:/a%d,read,+,R>`, i))
+	}
+	s := NewStore()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			extra := MustParse(`<<Public,*,*>,d.xml:/x,read,-,R>`)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				doc := s.ForDocument("d.xml")
+				joined := append(append(doc, s.ForSchema("d.dtd")...), extra)
+				for i, a := range doc {
+					if a != inst[i] || joined[i] != inst[i] {
+						t.Errorf("result element %d is not the %dth Add", i, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := range inst {
+		if err := s.Add(InstanceLevel, inst[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(SchemaLevel, schema[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := s.ForDocument("d.xml"); len(got) != adds || got[adds-1] != inst[adds-1] {
+		t.Errorf("store holds %d instance authorizations after %d Adds", len(got), adds)
 	}
 }
 

@@ -47,7 +47,11 @@ func denyf(format string, args ...any) error {
 // the write path.
 //
 // On success MergeView returns a fresh document (orig is not mutated)
-// carrying orig's prolog and DOCTYPE.
+// carrying orig's prolog and DOCTYPE. An element whose children in
+// updated differ from the shown ones too much to align within
+// maxAlignCells fails the merge with a plain error, not a
+// WriteDeniedError: the refusal bounds the work, whatever the
+// requester's authority.
 //
 // The view nodes are the original nodes and visibility is the mask, so
 // provenance comes for free as the identity (View.OriginOf); the merger
@@ -121,7 +125,7 @@ func (m *merger) attr(v *dom.Node, name string) *dom.Node {
 // contentKey is the character-data fingerprint of view element v as the
 // requester saw it.
 func (m *merger) contentKey(v *dom.Node) string {
-	return dom.ContentKeyMasked(v, m.view.Mask)
+	return contentKey(v, m.view.Mask)
 }
 
 // kids returns the element children of view element v that the view
@@ -149,9 +153,9 @@ func (m *merger) element(o, v, n *dom.Node) (*dom.Node, error) {
 	}
 
 	// Character data: detect an edit against the view.
-	contentEdited := m.contentKey(v) != dom.ContentKey(n)
+	contentEdited := m.contentKey(v) != contentKey(n, nil)
 	if contentEdited {
-		if m.contentKey(v) != dom.ContentKey(o) {
+		if m.contentKey(v) != contentKey(o, nil) {
 			return nil, denyf("content of %s is not fully readable and cannot be edited", o.Path())
 		}
 		if !m.writable(o) {
@@ -162,7 +166,11 @@ func (m *merger) element(o, v, n *dom.Node) (*dom.Node, error) {
 	vKids := m.kids(v)
 	nKids := n.ChildElements()
 	oKids := o.ChildElements()
-	mv, mn := dom.AlignByName(vKids, nKids)
+	mv, mn, ok := lcsMatch(vKids, nKids)
+	if !ok {
+		return nil, fmt.Errorf("core: cannot align the %d children sent for %s with the %d shown: the alignment exceeds %d table cells",
+			len(nKids), o.Path(), len(vKids), maxAlignCells)
+	}
 
 	// Which orig children are visible (present in the view)?
 	visIdx := make(map[*dom.Node]int) // orig child -> index into vKids
@@ -308,4 +316,105 @@ func (m *merger) deletable(n *dom.Node) error {
 		}
 	}
 	return nil
+}
+
+// contentKey summarizes an element's direct character data (text,
+// CDATA, comments, PIs), restricted to mask-visible children; two
+// elements with equal keys show identical character data in the same
+// order. Element children are excluded: the alignment accounts for
+// them, and including them here would report every insertion or
+// deletion as a content edit too.
+func contentKey(n *dom.Node, mask dom.Bitmask) string {
+	var b []byte
+	for _, c := range n.Children {
+		if !mask.Visible(c) {
+			continue
+		}
+		switch c.Type {
+		case dom.TextNode:
+			b = append(b, 't')
+		case dom.CDATANode:
+			b = append(b, 'c')
+		case dom.CommentNode:
+			b = append(b, '#')
+		case dom.ProcessingInstructionNode:
+			b = append(b, '?')
+			b = append(b, c.Name...)
+		default:
+			continue
+		}
+		b = append(b, c.Data...)
+		b = append(b, 0)
+	}
+	return string(b)
+}
+
+// maxAlignCells bounds the table one child alignment may build. The
+// merge runs under the site's write lock and before any write-authority
+// check, so without a bound a requester who can merely read an element
+// with many children could make the server allocate a table of that
+// many cells times the number of children in a large request body.
+const maxAlignCells = 1 << 20
+
+// lcsMatch aligns two element lists by name; it returns, for each side,
+// the matched index on the other side (-1 when unmatched). A common
+// prefix and a common suffix of names match outright, so an edit local
+// to one place in a long list costs linear time; the rest is aligned by
+// a longest common subsequence over an (n+1)×(m+1) table. ok is false,
+// and nothing is allocated for the table, when it would exceed
+// maxAlignCells.
+func lcsMatch(a, b []*dom.Node) (ma, mb []int, ok bool) {
+	ma = make([]int, len(a))
+	mb = make([]int, len(b))
+	lo := 0
+	for lo < len(a) && lo < len(b) && a[lo].Name == b[lo].Name {
+		ma[lo], mb[lo] = lo, lo
+		lo++
+	}
+	ha, hb := len(a), len(b)
+	for ha > lo && hb > lo && a[ha-1].Name == b[hb-1].Name {
+		ha, hb = ha-1, hb-1
+		ma[ha], mb[hb] = hb, ha
+	}
+	for i := lo; i < ha; i++ {
+		ma[i] = -1
+	}
+	for j := lo; j < hb; j++ {
+		mb[j] = -1
+	}
+	n, m := ha-lo, hb-lo
+	if n == 0 || m == 0 {
+		return ma, mb, true
+	}
+	if (n+1)*(m+1) > maxAlignCells {
+		return nil, nil, false
+	}
+	// dp[i*w+j] = LCS length of a[lo+i:ha], b[lo+j:hb].
+	w := m + 1
+	dp := make([]int32, (n+1)*w)
+	for i := n - 1; i >= 0; i-- {
+		for j := m - 1; j >= 0; j-- {
+			switch {
+			case a[lo+i].Name == b[lo+j].Name:
+				dp[i*w+j] = dp[(i+1)*w+j+1] + 1
+			case dp[(i+1)*w+j] >= dp[i*w+j+1]:
+				dp[i*w+j] = dp[(i+1)*w+j]
+			default:
+				dp[i*w+j] = dp[i*w+j+1]
+			}
+		}
+	}
+	for i, j := 0, 0; i < n && j < m; {
+		switch {
+		case a[lo+i].Name == b[lo+j].Name:
+			ma[lo+i], mb[lo+j] = lo+j, lo+i
+			i++
+			j++
+		case dp[(i+1)*w+j] >= dp[i*w+j+1]:
+			i++
+		default:
+			j++
+		}
+	}
+	return ma, mb, true
 }

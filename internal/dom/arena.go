@@ -294,12 +294,6 @@ func (a *Arena) CountElemAttrsIn(lo, hi int32) int {
 // bytes, suitable for pre-sizing output buffers.
 func (a *Arena) SizeHint() int { return a.sizeHint }
 
-// Syms returns the number of distinct interned names.
-func (a *Arena) Syms() int { return a.syms.Len() }
-
-// ByteLen returns the size of the shared character-data buffer.
-func (a *Arena) ByteLen() int { return len(a.bytes) }
-
 // ServeIndent is the indent unit views are served with. An arena keeps
 // one rendering of its whole document under this indent, and a masked
 // write with the same indent copies every fully visible subtree out of

@@ -83,10 +83,6 @@ func TestArenaOnlyDocumentAPI(t *testing.T) {
 				same(fmt.Sprintf("Write(%+v)", opts), x.String(), y.String())
 			}
 		}
-		edited := tree.Clone()
-		edited.DocumentElement().SetAttr("edited", "yes")
-		edited.Renumber()
-		same("Diff", fmt.Sprint(Diff(ao, edited)), fmt.Sprint(Diff(tree, edited)))
 
 		// Mutations: the arena-only document takes a tree of its own
 		// and from then on behaves as its twin does.

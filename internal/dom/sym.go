@@ -33,6 +33,3 @@ func (t *symTab) intern(name string) Sym {
 
 // name returns the string for symbol s.
 func (t *symTab) name(s Sym) string { return t.names[s] }
-
-// Len returns the number of distinct interned names (including "").
-func (t *symTab) Len() int { return len(t.names) }

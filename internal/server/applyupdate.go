@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"xmlsec/internal/core"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
@@ -95,29 +94,11 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 	if sd == nil {
 		return ErrNotFound
 	}
-	// Visibility first: a requester with no read view must not learn
-	// that the document exists from the update path either.
-	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	rctx, sp := trace.StartSpan(ctx, "read-view")
-	view, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
-	sp.End()
+	view, writable, err := s.writeAccess(ctx, rq, sd)
 	if err != nil {
 		return err
 	}
-	if view.Empty() {
-		return ErrNotFound
-	}
-	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
-	wctx, sp := trace.StartSpan(ctx, "write-label")
-	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	pol := s.Engine.PolicyFor(uri)
-	res, report := update.Resolve(ctx, sd.Doc, script,
-		func(i int32) bool { return view.Mask.VisibleIdx(i) },
-		func(i int32) bool { return pol.Grants(lb.FinalAt(int(i))) })
+	res, report := update.Resolve(ctx, sd.Doc, script, view.Mask.VisibleIdx, writable)
 	if report != nil {
 		return &ScriptError{Report: report}
 	}
@@ -131,34 +112,23 @@ func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scri
 		}
 		return err
 	}
-	newSource := out.String()
-	// Re-parse and re-validate the updated source exactly as a PUT
-	// would: the committed StoredDoc must be parse(serialize(apply)),
-	// the same document replay reconstructs, and an update that breaks DTD
-	// validity fails here with nothing committed.
-	nd, err := s.Docs.prepareDocument(uri, newSource)
+	// Commit through the same step as a PUT: the committed StoredDoc is
+	// parse(serialize(apply)), the same document replay reconstructs,
+	// and an update that breaks DTD validity fails with nothing
+	// committed.
+	nd, err := s.commitDocLocked(ctx, uri, out.String(), mutation{
+		Op: "update", Ver: updateRecordVersion,
+		Script: script.Canonical(), Targets: res.Targets,
+	})
 	if err != nil {
 		return err
 	}
-	if err := s.logMutation(ctx, mutation{
-		Op: "update", URI: uri, Ver: updateRecordVersion,
-		Script: script.Canonical(), Targets: res.Targets,
-		PreHash: contentHash(sd.Source), PostHash: contentHash(newSource),
-	}); err != nil {
-		return err
-	}
-	s.Docs.commitDocument(nd)
-	s.maybeCompact()
 	if card := trace.CostFromContext(ctx); card != nil {
 		card.OpsApplied += int64(len(script.Ops))
 		card.TargetsChecked += int64(res.TargetsChecked)
 		card.NodesCopied += int64(copied)
 	}
-	// Copy-on-write epilogue, as after a PUT: release the superseded
-	// document from the node-set index and pre-warm the successor.
-	if idx := s.Engine.AuthIndex(); idx != nil {
-		idx.InvalidateDoc(sd.Doc)
-		s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
-	}
+	// Pre-warm the successor, as after a PUT.
+	s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
 	return nil
 }

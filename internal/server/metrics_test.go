@@ -37,9 +37,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE xmlsec_stage_duration_seconds histogram",
-		// All cycle stages are present even when a mode (here
-		// parse-per-request) never ran: the children are materialized
-		// at registration so scrapers see a stable series set.
+		// All cycle stages are present even when no request ran them
+		// (here parse and validate, which only writes run): the
+		// children are materialized at registration so scrapers see a
+		// stable series set.
 		`xmlsec_stage_duration_seconds_bucket{stage="parse"`,
 		`xmlsec_stage_duration_seconds_bucket{stage="label"`,
 		`xmlsec_stage_duration_seconds_bucket{stage="prune"`,
@@ -68,13 +69,13 @@ func TestMetricsExposition(t *testing.T) {
 
 	// The stage histograms are fed from the requests' cost cards: only
 	// the first read runs the cycle (the repeats and the query hit the
-	// view cache), and parse-per-request is off.
+	// view cache), and a read neither parses nor validates.
 	snap := site.Metrics().Snapshot()
 	stage := snap.Metric("xmlsec_stage_duration_seconds")
 	if stage == nil {
 		t.Fatal("stage metric missing from snapshot")
 	}
-	for st, want := range map[string]uint64{"label": 1, "prune": 1, "unparse": 1, "validate": 1, "parse": 0} {
+	for st, want := range map[string]uint64{"label": 1, "prune": 1, "unparse": 1, "validate": 0, "parse": 0} {
 		series := stage.Find("stage", st)
 		if series == nil || series.Histogram == nil || series.Histogram.Count != want {
 			t.Errorf("stage %q observations = %+v, want %d", st, series, want)

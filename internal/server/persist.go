@@ -13,7 +13,6 @@ import (
 
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
-	"xmlsec/internal/dom"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
@@ -241,10 +240,9 @@ func (s *Site) logMutation(ctx context.Context, m mutation) error {
 func (s *Site) applyMutation(m mutation) error {
 	switch m.Op {
 	case "doc":
-		var old *dom.Document
 		var oldSource string
 		if sd := s.Docs.Doc(m.URI); sd != nil {
-			old, oldSource = sd.Doc, sd.Source
+			oldSource = sd.Source
 		}
 		if m.PreHash != "" && contentHash(oldSource) != m.PreHash {
 			return fmt.Errorf("server: replaying %q: pre-state hash mismatch (log diverges from replayed state)", m.URI)
@@ -252,17 +250,8 @@ func (s *Site) applyMutation(m mutation) error {
 		if m.PostHash != "" && contentHash(m.Source) != m.PostHash {
 			return fmt.Errorf("server: replaying %q: record content does not match its own hash", m.URI)
 		}
-		if err := s.Docs.AddDocument(m.URI, m.Source); err != nil {
-			return err
-		}
-		// The replay replaced a stored document: release the superseded
-		// pointer from the node-set index (warming waits for traffic).
-		if old != nil {
-			if idx := s.Engine.AuthIndex(); idx != nil {
-				idx.InvalidateDoc(old)
-			}
-		}
-		return nil
+		_, err := s.commitDocLocked(context.Background(), m.URI, m.Source, m)
+		return err
 	case "update":
 		return s.replayUpdate(m)
 	case "dtd":
@@ -323,13 +312,8 @@ func (s *Site) replayUpdate(m mutation) error {
 	if m.PostHash != "" && contentHash(newSource) != m.PostHash {
 		return fmt.Errorf("server: replaying update of %q: post-state hash mismatch (replay diverged from the committed document)", m.URI)
 	}
-	if err := s.Docs.AddDocument(m.URI, newSource); err != nil {
-		return err
-	}
-	if idx := s.Engine.AuthIndex(); idx != nil {
-		idx.InvalidateDoc(sd.Doc)
-	}
-	return nil
+	_, err = s.commitDocLocked(context.Background(), m.URI, newSource, m)
+	return err
 }
 
 func parseLevel(s string) authz.Level {
@@ -350,26 +334,38 @@ func (s *Site) PutDocument(uri, source string) error {
 func (s *Site) PutDocumentContext(ctx context.Context, uri, source string) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	return s.putDocumentLocked(ctx, uri, source)
+	_, err := s.commitDocLocked(ctx, uri, source, mutation{Op: "doc", Source: source})
+	return err
 }
 
-// putDocumentLocked parses, validates, logs and commits a document.
-// Callers hold persistMu.
-func (s *Site) putDocumentLocked(ctx context.Context, uri, source string) error {
+// commitDocLocked is the one commit step of a document write: PUT, an
+// update script and the replay of either come through it. It parses
+// and validates source as the document at uri, stamps m with uri and
+// the pre- and post-state hashes, appends m to the log, commits, starts
+// a compaction when one is due, and releases the replaced document from
+// the node-set index. Callers hold persistMu; recovery calls it before
+// the log is installed, so a replayed record is not appended again.
+func (s *Site) commitDocLocked(ctx context.Context, uri, source string, m mutation) (*StoredDoc, error) {
 	sd, err := s.Docs.prepareDocument(uri, source)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m := mutation{Op: "doc", URI: uri, Source: source, PostHash: contentHash(source)}
-	if prev := s.Docs.Doc(uri); prev != nil {
+	prev := s.Docs.Doc(uri)
+	m.URI, m.PreHash, m.PostHash = uri, "", contentHash(source)
+	if prev != nil {
 		m.PreHash = contentHash(prev.Source)
 	}
 	if err := s.logMutation(ctx, m); err != nil {
-		return err
+		return nil, err
 	}
 	s.Docs.commitDocument(sd)
 	s.maybeCompact()
-	return nil
+	if prev != nil {
+		if idx := s.Engine.AuthIndex(); idx != nil {
+			idx.InvalidateDoc(prev.Doc)
+		}
+	}
+	return sd, nil
 }
 
 // PutDTD registers a DTD durably.

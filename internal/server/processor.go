@@ -11,12 +11,10 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
-	"xmlsec/internal/dtd"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/wal"
-	"xmlsec/internal/xmlparse"
 )
 
 // ErrNotFound is returned for unknown documents and for documents whose
@@ -35,18 +33,6 @@ type Site struct {
 	Docs      *DocStore
 	Resolver  Resolver
 	Engine    *core.Engine
-
-	// ValidateViews re-validates every computed view against the
-	// loosened DTD before unparsing (the Section 6.2 guarantee),
-	// failing loudly on violation. Costs one validation pass per
-	// request; intended for development and tests.
-	ValidateViews bool
-
-	// ParsePerRequest re-parses the document source on every request,
-	// matching the paper's fully on-line four-step cycle. Off by
-	// default: documents are parsed at registration and shared by
-	// every request, which preserves semantics (E6 measures both).
-	ParsePerRequest bool
 
 	// cache, when non-nil, memoizes processed views per equivalence
 	// class and document; see EnableViewCache.
@@ -194,7 +180,8 @@ type ProcessResult struct {
 // Process runs the paper's four-step execution cycle for one request:
 //
 //  1. parsing — the requested document is parsed and validated against
-//     its DTD (done at registration unless ParsePerRequest);
+//     its DTD, once, when it is registered; every request shares the
+//     stored arena;
 //  2. tree labeling — the DOM tree is labeled with the requester's
 //     authorizations (core.Engine.Label inside ComputeView);
 //  3. transformation — the labeled tree is pruned to the view;
@@ -248,11 +235,10 @@ func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (
 	}
 	authGen, timeBounded := s.Auths.SnapshotFor(uri, sd.DTDURI)
 	// The cache is bypassed when any authorization applicable to THIS
-	// document is time-bounded (its views then depend on the clock) or
-	// when documents re-parse per request (the operator asked for the
-	// fully on-line cycle). Validity windows on unrelated documents
-	// leave this document's cache effective.
-	useCache := s.cache != nil && !timeBounded && !s.ParsePerRequest
+	// document is time-bounded (its views then depend on the clock).
+	// Validity windows on unrelated documents leave this document's
+	// cache effective.
+	useCache := s.cache != nil && !timeBounded
 	var key viewKey
 	if useCache {
 		polGen := s.Engine.PolicyGeneration()
@@ -337,44 +323,20 @@ func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (
 			}()
 		}
 	}
-	doc := sd.Doc
-	if s.ParsePerRequest {
-		tm := trace.StartStageChild(ctx, obs.StageParse)
-		res, err := xmlparse.Parse(sd.Source, xmlparse.Options{
-			Loader:        storeLoader{s.Docs},
-			ApplyDefaults: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: re-parsing %q: %w", uri, err)
-		}
-		tm.End()
-		doc = res.Doc
-	}
 	req := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	view, err := s.Engine.ComputeViewCtx(ctx, req, doc)
+	view, err := s.Engine.ComputeViewCtx(ctx, req, sd.Doc)
 	if err != nil {
 		return nil, err
 	}
 	if view.Empty() {
 		return nil, ErrNotFound
 	}
-	if s.ValidateViews && sd.DTDURI != "" {
-		tm := trace.StartStageChild(ctx, obs.StageValidate)
-		loose := s.Docs.Loosened(sd.DTDURI)
-		if loose == nil {
-			return nil, fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
-		}
-		if errs := loose.Validate(view.Materialize(), dtd.ValidateOptions{IgnoreIDs: true}); errs != nil {
-			return nil, fmt.Errorf("server: view of %q violates the loosened DTD: %w", uri, errs)
-		}
-		tm.End()
-	}
 	tm := trace.StartStageChild(ctx, obs.StageUnparse)
 	// Unparse through the visibility mask into a pooled, size-hinted
 	// buffer: the shared document's arena is swept directly, emitting
 	// only mask-visible nodes, with no per-request tree to build or
 	// discard and no per-request buffer growth once the pool is warm.
-	b := dom.GetBuffer(doc.ReadArena().SizeHint())
+	b := dom.GetBuffer(sd.Doc.ReadArena().SizeHint())
 	err = view.WriteXML(b, dom.WriteOptions{
 		// The serve indent is the one the document's rendering uses,
 		// so fully visible subtrees are copied rather than rewritten.

@@ -13,7 +13,6 @@ import (
 func labSite(t testing.TB) *Site {
 	t.Helper()
 	site := NewSite()
-	site.ValidateViews = true
 	site.Directory = labexample.Directory()
 	site.Engine.Hierarchy.Dir = site.Directory
 	if err := site.Docs.AddDTD(labexample.DTDURI, labexample.DTDSource); err != nil {
@@ -171,18 +170,6 @@ func TestProcessUnknownAndEmptyAreNotFound(t *testing.T) {
 	}
 	if _, err := site.Process(labexample.Tom, "silent.xml"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("fully protected document: %v", err)
-	}
-}
-
-func TestProcessParsePerRequest(t *testing.T) {
-	site := labSite(t)
-	site.ParsePerRequest = true
-	res, err := site.Process(labexample.Tom, labexample.DocURI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.XML, "XML Views") {
-		t.Errorf("per-request parse changed the view:\n%s", res.XML)
 	}
 }
 

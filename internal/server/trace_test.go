@@ -86,7 +86,7 @@ func TestTracePropagation(t *testing.T) {
 	if summary.Cost == nil {
 		t.Fatal("trace summary lacks the cost card")
 	}
-	for _, stage := range []obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageValidate, obs.StageUnparse} {
+	for _, stage := range []obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageUnparse} {
 		if summary.Cost.Stages[stage] <= 0 {
 			t.Errorf("stage %s missing from the card's stage timings: %v", stage, summary.Cost.Stages)
 		}
@@ -108,7 +108,7 @@ func TestTracePropagation(t *testing.T) {
 	for _, sp := range detail.Spans {
 		byName[sp.Name] = sp
 	}
-	for _, stage := range []string{"label", "prune", "validate", "unparse"} {
+	for _, stage := range []string{"label", "prune", "unparse"} {
 		sp, ok := byName[stage]
 		if !ok {
 			t.Fatalf("span %q missing from trace detail", stage)
@@ -214,9 +214,8 @@ func TestTraceSamplingAndUntracedRequests(t *testing.T) {
 func TestTraceSlowCapture(t *testing.T) {
 	site := labSite(t)
 	site.EnableTracing(trace.Options{Capacity: 2, SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
-	// ValidateViews makes requests measurably slow only on huge docs;
-	// instead drive the recorder directly through the middleware with a
-	// handler-level sleep via a slow resolver.
+	// Drive the recorder through the middleware with a handler-level
+	// sleep via a slow resolver.
 	site.Resolver = slowResolver{delay: 7 * time.Millisecond}
 	h := site.Handler()
 	slowID := traceGet(t, h, "/docs/"+labexample.DocURI, nil).Header().Get("X-Request-ID")

@@ -74,19 +74,13 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 		ApplyDefaults: true,
 	})
 	tm.End()
-	oldDoc, err := s.mergeAndCommit(ctx, rq, uri, res, parseErr)
-	if err != nil {
+	if err := s.mergeAndCommit(ctx, rq, uri, res, parseErr); err != nil {
 		return err
 	}
-	// The PUT replaced the stored document: release the superseded one
-	// from the node-set index eagerly (its pointer would never be looked
-	// up again, only pinned) and pre-fill the successor so the next
+	// Pre-fill the node-set index for the successor so the next
 	// requester's labeling finds warm node-sets.
-	if idx := s.Engine.AuthIndex(); idx != nil {
-		idx.InvalidateDoc(oldDoc)
-		if nd := s.Docs.Doc(uri); nd != nil {
-			s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
-		}
+	if nd := s.Docs.Doc(uri); nd != nil {
+		s.Engine.WarmAuthIndex(nd.Doc, uri, nd.DTDURI, 4)
 	}
 	return nil
 }
@@ -94,49 +88,29 @@ func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, ne
 // mergeAndCommit is the part of UpdateContext that runs under
 // persistMu, which it holds throughout: it merges the parsed
 // replacement (or reports parseErr) into the stored document and
-// commits the result, returning the document it replaced.
-func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri string, res *xmlparse.Result, parseErr error) (*dom.Document, error) {
+// commits the result.
+func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri string, res *xmlparse.Result, parseErr error) error {
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
 	sd := s.Docs.Doc(uri)
 	if sd == nil {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	// Visibility first: a requester with no read view must not learn
-	// that the document exists from the write path either.
-	readReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI}
-	rctx, sp := trace.StartSpan(ctx, "read-view")
-	readView, err := s.Engine.ComputeViewCtx(rctx, readReq, sd.Doc)
-	sp.End()
+	readView, writable, err := s.writeAccess(ctx, rq, sd)
 	if err != nil {
-		return nil, err
-	}
-	if readView.Empty() {
-		return nil, ErrNotFound
+		return err
 	}
 	// A malformed replacement is a client error regardless of
 	// authority.
 	if parseErr != nil {
-		return nil, fmt.Errorf("server: update of %q: %w", uri, parseErr)
+		return fmt.Errorf("server: update of %q: %w", uri, parseErr)
 	}
 	newDTDURI := ""
 	if res.Doc.DocType != nil {
 		newDTDURI = res.Doc.DocType.SystemID
 	}
 	if newDTDURI != sd.DTDURI {
-		return nil, fmt.Errorf("server: update of %q must keep DTD %q (got %q)", uri, sd.DTDURI, newDTDURI)
-	}
-	// Write labels on the original document.
-	writeReq := core.Request{Requester: rq, URI: uri, DTDURI: sd.DTDURI, Action: WriteAction}
-	wctx, sp := trace.StartSpan(ctx, "write-label")
-	lb, _, err := s.Engine.LabelCtx(wctx, writeReq, sd.Doc)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	pol := s.Engine.PolicyFor(uri)
-	writable := func(n *dom.Node) bool {
-		return pol.Grants(lb.FinalOf(n))
+		return fmt.Errorf("server: update of %q must keep DTD %q (got %q)", uri, sd.DTDURI, newDTDURI)
 	}
 	// The merge walks a pointer tree and relies on the view's nodes
 	// being the original's, so it runs over one private copy of the
@@ -145,34 +119,62 @@ func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri st
 	// write labeling are keyed by.
 	tm := trace.StartStageChild(ctx, obs.StageMerge)
 	orig := sd.Doc.ReadTree()
-	merged, err := core.MergeView(orig, &core.View{Doc: orig, Mask: readView.Mask}, res.Doc, writable)
+	merged, err := core.MergeView(orig, &core.View{Doc: orig, Mask: readView.Mask}, res.Doc,
+		func(n *dom.Node) bool { return writable(int32(n.Order)) })
 	tm.End()
 	if err != nil {
 		var wde *core.WriteDeniedError
 		if errors.As(err, &wde) {
-			return nil, fmt.Errorf("%w: %s", ErrForbidden, wde.Reason)
+			return fmt.Errorf("%w: %s", ErrForbidden, wde.Reason)
 		}
-		return nil, err
+		return err
 	}
 	if sd.DTDURI != "" {
 		tm = trace.StartStageChild(ctx, obs.StageValidate)
 		d := s.Docs.DTD(sd.DTDURI)
 		if d == nil {
-			return nil, fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
+			return fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
 		}
 		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
 		tm.End()
 		if errs != nil {
-			return nil, fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
+			return fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
 		}
 	}
 	// The replacement is durable before it is visible: the WAL record
 	// is appended (and, under -fsync always, flushed) before the commit
 	// swaps the new document in.
-	if err := s.putDocumentLocked(ctx, uri, merged.String()); err != nil {
-		return nil, err
+	src := merged.String()
+	_, err = s.commitDocLocked(ctx, uri, src, mutation{Op: "doc", Source: src})
+	return err
+}
+
+// writeAccess computes what a write by rq to the stored document sd is
+// checked against: the requester's read view of it, and whether the
+// write labeling (action "write") grants the node at each dense
+// preorder index under the document's policy. An empty read view is
+// ErrNotFound, before anything else is reported: a requester who cannot
+// read the document must not learn from a write that it exists.
+func (s *Site) writeAccess(ctx context.Context, rq subjects.Requester, sd *StoredDoc) (*core.View, func(int32) bool, error) {
+	req := core.Request{Requester: rq, URI: sd.URI, DTDURI: sd.DTDURI}
+	rctx, sp := trace.StartSpan(ctx, "read-view")
+	view, err := s.Engine.ComputeViewCtx(rctx, req, sd.Doc)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
 	}
-	return sd.Doc, nil
+	if view.Empty() {
+		return nil, nil, ErrNotFound
+	}
+	req.Action = WriteAction
+	wctx, sp := trace.StartSpan(ctx, "write-label")
+	lb, _, err := s.Engine.LabelCtx(wctx, req, sd.Doc)
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	pol := s.Engine.PolicyFor(sd.URI)
+	return view, func(i int32) bool { return pol.Grants(lb.FinalAt(int(i))) }, nil
 }
 
 // QueryDoc evaluates an XPath query against the requester's view of a

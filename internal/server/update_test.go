@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -263,4 +264,60 @@ func TestUpdateCannotSmuggleGuessedContent(t *testing.T) {
 	if !errors.Is(err, ErrForbidden) {
 		t.Fatalf("smuggled guess: %v, want ErrForbidden", err)
 	}
+}
+
+// listSite stores list.xml, a root <r> with n empty <i/> children, and
+// lets everyone read it; Sam may also write it.
+func listSite(t *testing.T, n int) *Site {
+	t.Helper()
+	site := labSite(t)
+	if err := site.Docs.AddDocument("list.xml", "<r>"+strings.Repeat("<i/>", n)+"</r>"); err != nil {
+		t.Fatal(err)
+	}
+	if err := site.Auths.Add(authz.InstanceLevel, authz.MustParse(`<<Public,*,*>,list.xml:/r,read,+,R>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := site.GrantWrite(authz.InstanceLevel, `<<Admin,*,*>,list.xml:/r,write,+,R>`); err != nil {
+		t.Fatal(err)
+	}
+	return site
+}
+
+// TestPutAlignmentIsBounded: the PUT merge aligns an element's visible
+// children with the body's before it checks write authority, so its
+// cost is within reach of a requester who can only read. A body of
+// 10,000 children sent against 1,000 stored ones, none of them named
+// alike, is refused (as a plain client error) without building the
+// 10-million-cell alignment table; an edit local to one place in a long
+// list still merges, however long the list.
+func TestPutAlignmentIsBounded(t *testing.T) {
+	t.Run("read-only requester, unalignable body", func(t *testing.T) {
+		site := listSite(t, 1000)
+		body := "<r>" + strings.Repeat("<x/>", 10000) + "</r>"
+		tom := labexample.Tom
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := site.Update(tom, "list.xml", body)
+		runtime.ReadMemStats(&after)
+		const budget = 8 << 20
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+			t.Errorf("refused PUT allocated %d bytes, budget %d", alloc, budget)
+		}
+		if err == nil || isForbidden(err) || isNotFound(err) {
+			t.Errorf("unalignable PUT: %v, want a plain refusal", err)
+		}
+	})
+	t.Run("one insertion into a long list", func(t *testing.T) {
+		site := listSite(t, 10000)
+		sam := subjects.Requester{User: "Sam", IP: "130.89.56.8", Host: "adminhost.lab.com"}
+		body := "<r>" + strings.Repeat("<i/>", 5000) + "<x/>" + strings.Repeat("<i/>", 5000) + "</r>"
+		if err := site.Update(sam, "list.xml", body); err != nil {
+			t.Fatal(err)
+		}
+		if src := site.Docs.Doc("list.xml").Source; strings.Count(src, "<i/>") != 10000 || !strings.Contains(src, "<i/><x/><i/>") {
+			t.Errorf("merged list lost its shape: %d <i/>, insertion kept: %v",
+				strings.Count(src, "<i/>"), strings.Contains(src, "<i/><x/><i/>"))
+		}
+	})
 }

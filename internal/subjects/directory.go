@@ -59,7 +59,10 @@ func NewDirectory() *Directory {
 
 // AddGroup declares a group, optionally as a member of parent groups.
 // Parents are declared implicitly if unknown. Adding an existing group
-// extends its parent set.
+// extends its parent set. A refused call leaves the directory as it
+// was: every check that can fail runs before the first change, and a
+// membership cycle, which only the changed graph shows, undoes exactly
+// what the call added.
 func (d *Directory) AddGroup(name string, parents ...string) error {
 	if name == "" {
 		return fmt.Errorf("subjects: empty group name")
@@ -67,22 +70,41 @@ func (d *Directory) AddGroup(name string, parents ...string) error {
 	if _, isUser := d.users[name]; isUser {
 		return fmt.Errorf("subjects: %q is already a user", name)
 	}
+	for _, p := range parents {
+		switch _, isUser := d.users[p]; {
+		case p == "":
+			return fmt.Errorf("subjects: empty group name")
+		case p == name:
+			return fmt.Errorf("subjects: group %q cannot be a member of itself", name)
+		case isUser:
+			return fmt.Errorf("subjects: %q is already a user", p)
+		}
+	}
+	var added []string // groups this call declared, name first if new
 	g := d.groups[name]
 	if g == nil {
 		g = &groupEntry{name: name, parents: make(map[string]bool)}
 		d.groups[name] = g
+		added = append(added, name)
 	}
+	var edges []string // parent edges this call added
 	for _, p := range parents {
-		if p == name {
-			return fmt.Errorf("subjects: group %q cannot be a member of itself", name)
+		if d.groups[p] == nil {
+			d.groups[p] = &groupEntry{name: p, parents: make(map[string]bool)}
+			added = append(added, p)
 		}
-		if err := d.AddGroup(p); err != nil {
-			return err
+		if !g.parents[p] {
+			g.parents[p] = true
+			edges = append(edges, p)
 		}
-		g.parents[p] = true
 	}
 	if d.wouldCycle(name) {
-		delete(d.groups, name)
+		for _, p := range edges {
+			delete(g.parents, p)
+		}
+		for _, n := range added {
+			delete(d.groups, n)
+		}
 		return fmt.Errorf("subjects: adding group %q creates a membership cycle", name)
 	}
 	d.gen.Add(1)

@@ -2,7 +2,9 @@ package subjects
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -191,6 +193,79 @@ func TestDirectoryErrors(t *testing.T) {
 	if err := d.AddGroup("B2", "A2"); err == nil {
 		t.Error("membership cycle should fail")
 	}
+}
+
+// TestRefusedAddGroupLeavesDirectoryUnchanged: a refused AddGroup
+// changes neither the declared groups nor any membership, and does not
+// move the generation. The two refusals that run after the call has
+// started changing the graph are covered: a parent that closes a cycle
+// on an existing group (which used to delete the group, and with it
+// every membership through it), and a parent that is a user, named
+// after parents the call had already linked.
+func TestRefusedAddGroupLeavesDirectoryUnchanged(t *testing.T) {
+	type state struct {
+		gen    uint64
+		groups string
+		member map[[2]string]bool
+	}
+	capture := func(d *Directory) state {
+		st := state{gen: d.Generation(), groups: strings.Join(d.Groups(), ","), member: map[[2]string]bool{}}
+		for _, x := range append(d.Users(), d.Groups()...) {
+			for _, g := range d.Groups() {
+				st.member[[2]string{x, g}] = d.MemberOf(x, g)
+			}
+		}
+		return st
+	}
+	cases := []struct {
+		name    string
+		parents []string
+	}{
+		{"cycle through an existing group", []string{"B"}},
+		{"cycle after a new parent", []string{"Z", "B"}},
+		{"user parent after a new parent", []string{"Z", "u"}},
+		{"user parent after an existing parent", []string{"B2", "u"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDirectory()
+			for _, step := range []error{
+				d.AddGroup("A", "P"),
+				d.AddUser("u", "A"),
+				d.AddGroup("B", "A"),
+				d.AddGroup("B2"),
+			} {
+				if step != nil {
+					t.Fatal(step)
+				}
+			}
+			before := capture(d)
+			if err := d.AddGroup("A", tc.parents...); err == nil {
+				t.Fatalf("AddGroup(A, %v) accepted", tc.parents)
+			}
+			after := capture(d)
+			if after.gen != before.gen || after.groups != before.groups || !maps.Equal(after.member, before.member) {
+				t.Errorf("refused AddGroup changed the directory: groups %s -> %s, generation %d -> %d",
+					before.groups, after.groups, before.gen, after.gen)
+			}
+			if !d.MemberOf("u", "P") {
+				t.Error("u lost its membership in P")
+			}
+		})
+	}
+	t.Run("refused new group is not declared", func(t *testing.T) {
+		d := NewDirectory()
+		if err := d.AddUser("u"); err != nil {
+			t.Fatal(err)
+		}
+		before := capture(d)
+		if err := d.AddGroup("C", "Q", "u"); err == nil {
+			t.Fatal("a user accepted as a parent group")
+		}
+		if after := capture(d); after.groups != before.groups || after.gen != before.gen {
+			t.Errorf("refused AddGroup declared groups: %q -> %q", before.groups, after.groups)
+		}
+	})
 }
 
 func TestDirectoryListing(t *testing.T) {
