@@ -103,7 +103,7 @@ func expDom() error {
 		})
 	}
 	for _, c := range cases {
-		hint := c.doc.Arena().SizeHint()
+		hint := c.doc.ReadArena().SizeHint()
 		nodes := c.doc.CountNodes()
 		view, err := c.eng.ComputeView(c.req, c.doc)
 		if err != nil {

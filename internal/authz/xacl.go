@@ -66,7 +66,7 @@ func ParseXACL(input string) (*XACL, error) {
 	if err != nil {
 		return nil, err
 	}
-	if errs := xaclDTD.Validate(res.Doc, dtd.ValidateOptions{ApplyDefaults: true}); errs != nil {
+	if errs := xaclDTD.Validate(res.Doc, dtd.ValidateOptions{}); errs != nil {
 		return nil, fmt.Errorf("authz: XACL does not conform to the XACL DTD: %w", errs)
 	}
 	root := res.Doc.DocumentElement()
@@ -88,12 +88,21 @@ func ParseXACL(input string) (*XACL, error) {
 	return x, nil
 }
 
+// xaclAttr returns n's attribute name or, when n has none, the default
+// xaclDTD declares for it, as a validating parser would supply it.
+func xaclAttr(n *dom.Node, name string) string {
+	if v, ok := n.Attr(name); ok {
+		return v
+	}
+	return xaclDTD.AttDef(n.Name, name).Value
+}
+
 func parseAuthElement(ae *dom.Node, defaultURI string) (*Authorization, error) {
 	se := ae.FirstChildElement("subject")
 	oe := ae.FirstChildElement("object")
 	ug, _ := se.Attr("ug")
-	ip, _ := se.Attr("ip")
-	sn, _ := se.Attr("sn")
+	ip := xaclAttr(se, "ip")
+	sn := xaclAttr(se, "sn")
 	sub, err := subjects.NewSubject(ug, ip, sn)
 	if err != nil {
 		return nil, err

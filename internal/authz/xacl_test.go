@@ -92,6 +92,11 @@ func TestParseXACLBadContent(t *testing.T) {
 	if _, err := ParseXACL(src); err == nil {
 		t.Error("bad IP pattern should fail")
 	}
+	// The DTD's "*" default fills only an absent ip, never an empty one.
+	src = strings.Replace(sampleXACL, `ip="130.89.*"`, `ip=""`, 1)
+	if _, err := ParseXACL(src); err == nil {
+		t.Error("explicit empty IP pattern should fail, not take the default")
+	}
 }
 
 func TestXACLRoundTrip(t *testing.T) {

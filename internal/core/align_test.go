@@ -115,22 +115,22 @@ func TestContentKey(t *testing.T) {
 		}
 		return e
 	}
-	base := contentKey(mk(dom.NewText("t"), dom.NewComment("c1")), nil)
+	base := contentKey(mk(dom.NewText("t"), &dom.Node{Type: dom.CommentNode, Data: "c1"}), nil)
 	for name, other := range map[string]*dom.Node{
-		"comment edit": mk(dom.NewText("t"), dom.NewComment("c2")),
-		"text edit":    mk(dom.NewText("u"), dom.NewComment("c1")),
-		"reordered":    mk(dom.NewComment("c1"), dom.NewText("t")),
-		"pi added":     mk(dom.NewText("t"), dom.NewComment("c1"), dom.NewProcInst("p", "d")),
+		"comment edit": mk(dom.NewText("t"), &dom.Node{Type: dom.CommentNode, Data: "c2"}),
+		"text edit":    mk(dom.NewText("u"), &dom.Node{Type: dom.CommentNode, Data: "c1"}),
+		"reordered":    mk(&dom.Node{Type: dom.CommentNode, Data: "c1"}, dom.NewText("t")),
+		"pi added":     mk(dom.NewText("t"), &dom.Node{Type: dom.CommentNode, Data: "c1"}, &dom.Node{Type: dom.ProcessingInstructionNode, Name: "p", Data: "d"}),
 	} {
 		if contentKey(other, nil) == base {
 			t.Errorf("%s: same key as the original", name)
 		}
 	}
-	if contentKey(mk(dom.NewText("t"), dom.NewElement("b"), dom.NewComment("c1")), nil) != base {
+	if contentKey(mk(dom.NewText("t"), dom.NewElement("b"), &dom.Node{Type: dom.CommentNode, Data: "c1"}), nil) != base {
 		t.Error("an element child changed the key")
 	}
 	doc := dom.NewDocument()
-	doc.SetDocumentElement(mk(dom.NewText("t"), dom.NewComment("c1"), dom.NewText("hidden")))
+	doc.SetDocumentElement(mk(dom.NewText("t"), &dom.Node{Type: dom.CommentNode, Data: "c1"}, dom.NewText("hidden")))
 	doc.Renumber()
 	root := doc.DocumentElement()
 	mask := dom.NewBitmask(doc.NodeCount())

@@ -30,7 +30,7 @@ func TestAuthIndexFillInIndexSpace(t *testing.T) {
 		t.Fatalf("//b selected %d nodes, want 2", len(set))
 	}
 	for _, i := range set {
-		if got := res.Arena.Name(i); got != "b" {
+		if got := res.Doc.ReadArena().Name(i); got != "b" {
 			t.Fatalf("index %d names %q, want b", i, got)
 		}
 	}

@@ -52,7 +52,7 @@ func newMergeFixture(t *testing.T) *mergeFixture {
 	rq := subjects.Requester{User: "u", IP: "1.2.3.4", Host: "h.example.org"}
 	return &mergeFixture{
 		eng:  eng,
-		doc:  res.Doc,
+		doc:  res.Doc.ReadTree(),
 		rq:   rq,
 		read: core.Request{Requester: rq, URI: "s.xml"},
 	}
@@ -184,6 +184,7 @@ func TestMergeDeniesHiddenAttributeCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := res.Doc.ReadTree() // MergeView needs a tree
 	dir := subjects.NewDirectory()
 	if err := dir.AddUser("u"); err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestMergeDeniesHiddenAttributeCollision(t *testing.T) {
 	eng := core.NewEngine(dir, store)
 	rq := subjects.Requester{User: "u", IP: "1.2.3.4"}
 	read := core.Request{Requester: rq, URI: "a.xml"}
-	view, err := eng.ComputeView(read, res.Doc)
+	view, err := eng.ComputeView(read, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +214,12 @@ func TestMergeDeniesHiddenAttributeCollision(t *testing.T) {
 	}
 	writeReq := read
 	writeReq.Action = "write"
-	lb, _, err := eng.Label(writeReq, res.Doc)
+	lb, _, err := eng.Label(writeReq, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writable := func(n *dom.Node) bool { return lb.FinalOf(n) == core.Plus }
-	_, err = core.MergeView(res.Doc, view, upd.Doc, writable)
+	_, err = core.MergeView(orig, view, upd.Doc, writable)
 	var wde *core.WriteDeniedError
 	if !errors.As(err, &wde) || !strings.Contains(wde.Reason, "@secret") {
 		t.Fatalf("hidden attribute collision: %v", err)
@@ -232,6 +233,7 @@ func TestMergeDeniesContentEditWithHiddenText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig := res.Doc.ReadTree() // MergeView needs a tree
 	dir := subjects.NewDirectory()
 	if err := dir.AddUser("u"); err != nil {
 		t.Fatal(err)
@@ -248,7 +250,7 @@ func TestMergeDeniesContentEditWithHiddenText(t *testing.T) {
 	eng := core.NewEngine(dir, store)
 	rq := subjects.Requester{User: "u", IP: "1.2.3.4"}
 	read := core.Request{Requester: rq, URI: "a.xml"}
-	view, err := eng.ComputeView(read, res.Doc)
+	view, err := eng.ComputeView(read, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +260,12 @@ func TestMergeDeniesContentEditWithHiddenText(t *testing.T) {
 	}
 	writeReq := read
 	writeReq.Action = "write"
-	lb, _, err := eng.Label(writeReq, res.Doc)
+	lb, _, err := eng.Label(writeReq, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writable := func(n *dom.Node) bool { return lb.FinalOf(n) == core.Plus }
-	_, err = core.MergeView(res.Doc, view, upd.Doc, writable)
+	_, err = core.MergeView(orig, view, upd.Doc, writable)
 	var wde *core.WriteDeniedError
 	if !errors.As(err, &wde) || !strings.Contains(wde.Reason, "not fully readable") {
 		t.Fatalf("blind content edit: %v", err)

@@ -16,9 +16,9 @@ type span struct{ off, n uint32 }
 // representation the label, mask, masked-unparse, XPath and
 // update-resolution sweeps run over, touching cache-dense arrays
 // instead of chasing pointers, and the only one a stored document
-// keeps (Document.ArenaOnly). The pointer tree is the parser's
-// working form and the adapter that DTD validation, the merge, update
-// apply and the reference pipeline tests take from Materialize.
+// keeps. The parser writes it directly through a Builder, and DTD
+// validation reads it. The pointer tree is the adapter that the merge,
+// update apply and the reference pipeline tests take from Materialize.
 //
 // Layout invariants (see docs/ARENA.md):
 //
@@ -67,92 +67,6 @@ type Arena struct {
 	encoding   string
 	standalone string
 	docType    *DocType
-}
-
-// buildArena flattens a renumbered document into a fresh arena.
-func buildArena(d *Document) *Arena {
-	n := d.NodeCount()
-	a := &Arena{
-		kind:        make([]NodeType, n),
-		name:        make([]Sym, n),
-		parent:      make([]int32, n),
-		firstChild:  make([]int32, n),
-		nextSibling: make([]int32, n),
-		attrStart:   make([]int32, n),
-		attrEnd:     make([]int32, n),
-		raw:         make([]span, n),
-		esc:         make([]span, n),
-		defaulted:   NewBitmask(n),
-		elemAttr:    NewBitmask(n),
-		syms:        newSymTab(),
-		version:     d.Version,
-		encoding:    d.Encoding,
-		standalone:  d.Standalone,
-	}
-	if d.DocType != nil {
-		dt := *d.DocType
-		a.docType = &dt
-	}
-	var walk func(nd *Node, parent int32)
-	walk = func(nd *Node, parent int32) {
-		i := int32(nd.Order)
-		a.kind[i] = nd.Type
-		a.parent[i] = parent
-		a.firstChild[i] = -1
-		a.nextSibling[i] = -1
-		switch nd.Type {
-		case ElementNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.elemAttr.Set(int(i))
-			a.elemAttrs++
-			a.sizeHint += 2*len(nd.Name) + 5
-		case AttributeNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], EscapeAttr(nd.Data))
-			if nd.Defaulted {
-				a.defaulted.Set(int(i))
-			}
-			a.elemAttr.Set(int(i))
-			a.elemAttrs++
-			a.sizeHint += len(nd.Name) + 4 + int(a.esc[i].n)
-		case TextNode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendEsc(a.raw[i], EscapeText(nd.Data))
-			a.sizeHint += int(a.esc[i].n)
-		case CDATANode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.appendRaw(renderCDATA(nd.Data))
-			a.sizeHint += int(a.esc[i].n)
-		case CommentNode:
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.raw[i]
-			a.sizeHint += int(a.esc[i].n) + 7
-		case ProcessingInstructionNode:
-			a.name[i] = a.syms.intern(nd.Name)
-			a.raw[i] = a.appendRaw(nd.Data)
-			a.esc[i] = a.raw[i]
-			a.sizeHint += len(nd.Name) + int(a.esc[i].n) + 5
-		}
-		a.attrStart[i] = i + 1
-		a.attrEnd[i] = i + 1 + int32(len(nd.Attrs))
-		for _, at := range nd.Attrs {
-			walk(at, i)
-		}
-		var prev int32 = -1
-		for _, c := range nd.Children {
-			ci := int32(c.Order)
-			if prev < 0 {
-				a.firstChild[i] = ci
-			} else {
-				a.nextSibling[prev] = ci
-			}
-			prev = ci
-			walk(c, i)
-		}
-	}
-	walk(d.Node, -1)
-	return a
 }
 
 // appendRaw copies s into the shared buffer and returns its span.

@@ -67,15 +67,15 @@ func TestArenaAttributeOnlyElement(t *testing.T) {
 // section whose data contains "]]>" and so must be split.
 func TestArenaMixedContentRuns(t *testing.T) {
 	doc := NewDocument()
-	doc.Node.AppendChild(NewComment(" prolog "))
-	doc.Node.AppendChild(NewProcInst("style", `href="x.css"`))
+	doc.Node.AppendChild(&Node{Type: CommentNode, Data: " prolog "})
+	doc.Node.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "style", Data: `href="x.css"`})
 	root := NewElement("r")
 	doc.SetDocumentElement(root)
 	root.AppendChild(NewText("t1 < t2"))
-	root.AppendChild(NewCDATA("raw <markup/> here"))
-	root.AppendChild(NewComment("mid"))
-	root.AppendChild(NewProcInst("target", ""))
-	root.AppendChild(NewCDATA("ends with ]]> inside"))
+	root.AppendChild(&Node{Type: CDATANode, Data: "raw <markup/> here"})
+	root.AppendChild(&Node{Type: CommentNode, Data: "mid"})
+	root.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "target", Data: ""})
+	root.AppendChild(&Node{Type: CDATANode, Data: "ends with ]]> inside"})
 	root.AppendChild(NewText("tail"))
 	doc.Renumber()
 	doc.BuildArena()
@@ -109,9 +109,7 @@ func TestArenaDefaultedSurvives(t *testing.T) {
 	doc := NewDocument()
 	root := NewElement("a")
 	root.SetAttr("explicit", "1")
-	def := NewAttr("supplied", "dflt")
-	def.Defaulted = true
-	root.SetAttrNode(def)
+	root.SetAttr("supplied", "dflt").Defaulted = true
 	doc.SetDocumentElement(root)
 	doc.Renumber()
 	ar := doc.BuildArena()
@@ -254,8 +252,8 @@ func TestArenaQueryHelpers(t *testing.T) {
 	b.SetAttr("k", "v")
 	b.AppendChild(NewText("one"))
 	c := NewElement("c")
-	c.AppendChild(NewCDATA("two"))
-	c.AppendChild(NewComment("not text"))
+	c.AppendChild(&Node{Type: CDATANode, Data: "two"})
+	c.AppendChild(&Node{Type: CommentNode, Data: "not text"})
 	b.AppendChild(c)
 	root.AppendChild(b)
 	root.AppendChild(NewElement("d"))
@@ -422,7 +420,7 @@ func TestBitmaskSetRange(t *testing.T) {
 func spanDoc(seed int64) *Document {
 	rng := rand.New(rand.NewSource(seed))
 	doc := NewDocument()
-	doc.Node.AppendChild(NewComment(" prolog "))
+	doc.Node.AppendChild(&Node{Type: CommentNode, Data: " prolog "})
 	root := NewElement("r")
 	doc.SetDocumentElement(root)
 	var grow func(e *Node, depth int)
@@ -441,11 +439,11 @@ func spanDoc(seed int64) *Document {
 			case 1:
 				e.AppendChild(NewText("\n   "))
 			case 2:
-				e.AppendChild(NewComment("c"))
+				e.AppendChild(&Node{Type: CommentNode, Data: "c"})
 			case 3:
-				e.AppendChild(NewProcInst("pi", "x"))
+				e.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "pi", Data: "x"})
 			case 4:
-				e.AppendChild(NewCDATA("raw ]]> data"))
+				e.AppendChild(&Node{Type: CDATANode, Data: "raw ]]> data"})
 			default:
 				k := NewElement(fmt.Sprintf("e%d", rng.Intn(3)))
 				e.AppendChild(k)

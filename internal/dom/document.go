@@ -19,13 +19,13 @@ type DocType struct {
 // its children are the top-level comments, processing instructions, and
 // the single document element.
 //
-// A document may instead be arena-only (see ArenaOnly): it carries its
-// arena and metadata but no pointer tree, and Node is nil. Stored
-// documents are kept this way, since every read sweep runs over the
-// arena and the tree would more than double the document's heap. Every
-// method works on an arena-only document: the read-side ones through
-// ReadArena or ReadTree, and a mutation first gives the document a tree
-// of its own.
+// A document may instead be arena-only: it carries its arena and
+// metadata but no pointer tree, and Node is nil. The parser returns
+// documents this way (Builder.Finish), and the store keeps them so,
+// since every read sweep runs over the arena and a tree would more than
+// double the document's heap. Every method works on an arena-only
+// document: the read-side ones through ReadArena or ReadTree, and a
+// mutation first gives the document a tree of its own.
 type Document struct {
 	// Node is the document node; Node.Children holds the prolog items
 	// and the document element. It is nil on an arena-only document.
@@ -44,7 +44,7 @@ type Document struct {
 	nodeCount int
 
 	// arena is the struct-of-arrays representation of the document,
-	// built by BuildArena (the parser does this at parse time) and
+	// written by the parser or built from the tree by BuildArena, and
 	// discarded by Renumber: an arena is only meaningful for the
 	// numbering generation it was built from. Like the numbering
 	// itself, the arena must be built before the document is shared
@@ -56,23 +56,6 @@ type Document struct {
 // NewDocument returns an empty document with a fresh document node.
 func NewDocument() *Document {
 	return &Document{Node: &Node{Type: DocumentNode}, Version: "1.0"}
-}
-
-// ArenaOnly returns a document that carries d's metadata and arena
-// (built first if d has none) but no pointer tree. Nothing is copied;
-// d's tree is simply not referenced, so once d is dropped the tree can
-// be collected while the returned document lives on. The result is
-// immutable like any shared document: its arena is its numbering.
-func (d *Document) ArenaOnly() *Document {
-	ar := d.Arena()
-	return &Document{
-		Version:    d.Version,
-		Encoding:   d.Encoding,
-		Standalone: d.Standalone,
-		DocType:    d.DocType,
-		nodeCount:  ar.Len(),
-		arena:      ar,
-	}
 }
 
 // ReadTree returns the document's pointer tree: the document itself when
@@ -152,38 +135,28 @@ func (d *Document) Renumber() int {
 	return next
 }
 
-// BuildArena flattens the document into its struct-of-arrays
-// representation, caches it on the document, and returns it. The
-// parser calls this at parse time so serve-path documents always carry
-// an arena; mutating callers must Renumber (which discards the arena)
-// and rebuild before sharing the document again. An arena-only
-// document returns the arena it carries.
+// BuildArena flattens the document's tree into its struct-of-arrays
+// representation, caches it on the document, and returns it, so a tree
+// built in memory can be shared like a parsed document; mutating
+// callers must Renumber (which discards the arena) and rebuild before
+// sharing the document again. An arena-only document returns the arena
+// it carries.
 func (d *Document) BuildArena() *Arena {
 	if d.isArenaOnly() {
 		return d.arena
 	}
-	d.NodeCount() // ensure the preorder numbering exists
 	d.arena = buildArena(d)
 	return d.arena
 }
 
-// Arena returns the document's struct-of-arrays representation,
-// building it on first use. Like Renumber, the build is not safe to
-// race with readers: construct the arena before sharing the document.
-func (d *Document) Arena() *Arena {
-	if d.arena == nil {
-		return d.BuildArena()
-	}
-	return d.arena
-}
-
 // ReadArena returns the document's arena, or, when none is built, a
-// fresh one that is not cached on the document — so, unlike Arena, it
+// fresh one that is not cached on the document — so, unlike BuildArena, it
 // is safe to call on a renumbered document that readers already share.
 // Every read-side sweep (labeling, visibility, masked serialization,
-// XPath) goes through it. Documents the parser built carry their arena
-// and pay nothing; only documents built in memory without one
-// (hand-built trees, clones) pay for the flattening, on every call.
+// XPath, DTD validation) goes through it. Documents the parser built
+// are their arena and pay nothing; only documents built in memory
+// without one (hand-built trees, clones) pay for the flattening, on
+// every call.
 func (d *Document) ReadArena() *Arena {
 	if d.arena != nil {
 		return d.arena

@@ -94,29 +94,8 @@ func NewText(data string) *Node {
 	return &Node{Type: TextNode, Data: data}
 }
 
-// NewCDATA returns a parentless CDATA section node.
-func NewCDATA(data string) *Node {
-	return &Node{Type: CDATANode, Data: data}
-}
-
-// NewComment returns a parentless comment node.
-func NewComment(data string) *Node {
-	return &Node{Type: CommentNode, Data: data}
-}
-
-// NewProcInst returns a parentless processing-instruction node with the
-// given target and instruction.
-func NewProcInst(target, inst string) *Node {
-	return &Node{Type: ProcessingInstructionNode, Name: target, Data: inst}
-}
-
-// NewAttr returns a parentless attribute node.
-func NewAttr(name, value string) *Node {
-	return &Node{Type: AttributeNode, Name: name, Data: value}
-}
-
 // AppendChild appends c to n's children and sets its parent. It panics
-// if c is an attribute node (use SetAttrNode) or if c already has a
+// if c is an attribute node (use SetAttr) or if c already has a
 // parent.
 func (n *Node) AppendChild(c *Node) {
 	if c.Type == AttributeNode {
@@ -142,27 +121,6 @@ func (n *Node) RemoveChild(c *Node) bool {
 	return false
 }
 
-// SetAttrNode attaches attribute node a to element n, replacing any
-// existing attribute with the same name. It panics if n is not an
-// element or a is not an attribute.
-func (n *Node) SetAttrNode(a *Node) {
-	if n.Type != ElementNode {
-		panic("dom: SetAttrNode on non-element")
-	}
-	if a.Type != AttributeNode {
-		panic("dom: SetAttrNode with non-attribute")
-	}
-	a.Parent = n
-	for i, old := range n.Attrs {
-		if old.Name == a.Name {
-			old.Parent = nil
-			n.Attrs[i] = a
-			return
-		}
-	}
-	n.Attrs = append(n.Attrs, a)
-}
-
 // SetAttr sets attribute name to value on element n, creating or
 // replacing as needed, and returns the attribute node.
 func (n *Node) SetAttr(name, value string) *Node {
@@ -172,8 +130,7 @@ func (n *Node) SetAttr(name, value string) *Node {
 			return a
 		}
 	}
-	a := NewAttr(name, value)
-	a.Parent = n
+	a := &Node{Type: AttributeNode, Name: name, Data: value, Parent: n}
 	n.Attrs = append(n.Attrs, a)
 	return a
 }

@@ -49,7 +49,7 @@ func TestAppendChildPanics(t *testing.T) {
 			t.Error("AppendChild with attribute node should panic")
 		}
 	}()
-	a.AppendChild(NewAttr("x", "1"))
+	a.AppendChild(&Node{Type: AttributeNode, Name: "x", Data: "1"})
 }
 
 func TestAppendAttachedChildPanics(t *testing.T) {
@@ -81,20 +81,6 @@ func TestAttrOperations(t *testing.T) {
 	if !a.RemoveAttr("x") || a.RemoveAttr("x") {
 		t.Error("RemoveAttr semantics wrong")
 	}
-	// SetAttrNode replaces by name and reparents.
-	n := NewAttr("z", "7")
-	a.SetAttrNode(n)
-	if n.Parent != a {
-		t.Error("SetAttrNode should set parent")
-	}
-	repl := NewAttr("z", "8")
-	a.SetAttrNode(repl)
-	if len(a.Attrs) != 1 || a.Attrs[0].Data != "8" {
-		t.Error("SetAttrNode should replace same-name attribute")
-	}
-	if n.Parent != nil {
-		t.Error("replaced attribute should be detached")
-	}
 }
 
 func TestChildElementHelpers(t *testing.T) {
@@ -120,9 +106,9 @@ func TestTextConcatenation(t *testing.T) {
 	a.AppendChild(NewText("x"))
 	b := NewElement("b")
 	b.AppendChild(NewText("y"))
-	b.AppendChild(NewCDATA("z"))
+	b.AppendChild(&Node{Type: CDATANode, Data: "z"})
 	a.AppendChild(b)
-	a.AppendChild(NewComment("not text"))
+	a.AppendChild(&Node{Type: CommentNode, Data: "not text"})
 	a.AppendChild(NewText("w"))
 	doc.SetDocumentElement(a)
 	if got := a.Text(); got != "xyzw" {
@@ -131,7 +117,7 @@ func TestTextConcatenation(t *testing.T) {
 	if got := b.Text(); got != "yz" {
 		t.Errorf("b.Text() = %q, want yz", got)
 	}
-	at := NewAttr("k", "v")
+	at := &Node{Type: AttributeNode, Name: "k", Data: "v"}
 	if at.Text() != "v" {
 		t.Error("attribute Text() should be its value")
 	}
@@ -257,7 +243,7 @@ func TestDocumentClone(t *testing.T) {
 
 func TestSetDocumentElementReplaces(t *testing.T) {
 	doc, a, _, _ := buildSample()
-	doc.Node.AppendChild(NewComment("prolog-ish"))
+	doc.Node.AppendChild(&Node{Type: CommentNode, Data: "prolog-ish"})
 	e := NewElement("newroot")
 	doc.SetDocumentElement(e)
 	if doc.DocumentElement() != e {

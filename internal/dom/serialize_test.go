@@ -72,8 +72,8 @@ func TestSerializeBasics(t *testing.T) {
 	a := NewElement("a")
 	a.SetAttr("k", `v"<&`)
 	a.AppendChild(NewText("x<y&z"))
-	a.AppendChild(NewComment(" note "))
-	a.AppendChild(NewProcInst("target", "data"))
+	a.AppendChild(&Node{Type: CommentNode, Data: " note "})
+	a.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "target", Data: "data"})
 	b := NewElement("b")
 	a.AppendChild(b)
 	doc.SetDocumentElement(a)
@@ -88,7 +88,7 @@ func TestSerializeBasics(t *testing.T) {
 func TestSerializeCDATA(t *testing.T) {
 	doc := NewDocument()
 	a := NewElement("a")
-	a.AppendChild(NewCDATA("raw <markup> & stuff"))
+	a.AppendChild(&Node{Type: CDATANode, Data: "raw <markup> & stuff"})
 	doc.SetDocumentElement(a)
 	got := doc.String()
 	if !strings.Contains(got, "<![CDATA[raw <markup> & stuff]]>") {
@@ -99,7 +99,7 @@ func TestSerializeCDATA(t *testing.T) {
 func TestSerializeCDATAWithTerminator(t *testing.T) {
 	doc := NewDocument()
 	a := NewElement("a")
-	a.AppendChild(NewCDATA("bad ]]> section"))
+	a.AppendChild(&Node{Type: CDATANode, Data: "bad ]]> section"})
 	doc.SetDocumentElement(a)
 	got := doc.String()
 	// The section must be split so that no literal "]]>" appears

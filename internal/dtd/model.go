@@ -294,9 +294,10 @@ type DTD struct {
 	// entries are tagged references into the maps above.
 	declOrder []declRef
 
-	// attDefs holds every (element, attribute) pair in Attlists, so
-	// AddAttDef finds a redeclaration without scanning the list.
-	attDefs map[attKey]bool
+	// attDefs indexes every definition in Attlists by its (element,
+	// attribute) pair, so AddAttDef finds a redeclaration and AttDef a
+	// definition without scanning a long list.
+	attDefs map[attKey]*AttDef
 }
 
 type attKey struct{ elem, attr string }
@@ -339,12 +340,16 @@ func (d *DTD) Element(name string) *ElementDecl {
 }
 
 // AttDef returns the definition of attribute attr on element elem, or
-// nil if not declared.
+// nil if not declared. A short list is scanned, a long one looked up.
 func (d *DTD) AttDef(elem, attr string) *AttDef {
 	if d == nil {
 		return nil
 	}
-	for _, a := range d.Attlists[elem] {
+	defs := d.Attlists[elem]
+	if len(defs) > attrScanMax {
+		return d.attDefs[attKey{elem, attr}]
+	}
+	for _, a := range defs {
 		if a.Name == attr {
 			return a
 		}
@@ -368,13 +373,13 @@ func (d *DTD) AddElement(e *ElementDecl) error {
 // definition is binding and later ones are ignored.
 func (d *DTD) AddAttDef(a *AttDef) {
 	k := attKey{a.Element, a.Name}
-	if d.attDefs[k] {
+	if d.attDefs[k] != nil {
 		return
 	}
 	if d.attDefs == nil {
-		d.attDefs = make(map[attKey]bool)
+		d.attDefs = make(map[attKey]*AttDef)
 	}
-	d.attDefs[k] = true
+	d.attDefs[k] = a
 	if _, seen := d.Attlists[a.Element]; !seen {
 		d.declOrder = append(d.declOrder, declRef{kind: declAttlist, name: a.Element})
 	}

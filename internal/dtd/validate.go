@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -9,15 +10,16 @@ import (
 
 // ValidationError is one violation of the DTD by a document.
 type ValidationError struct {
-	// Node is the offending node (element or attribute), when known.
-	Node *dom.Node
+	// Path is the diagnostic path of the offending node (element or
+	// attribute), as Node.Path and Arena.Path give it, when known.
+	Path string
 	// Msg describes the violation.
 	Msg string
 }
 
 func (e *ValidationError) Error() string {
-	if e.Node != nil {
-		return fmt.Sprintf("dtd: %s: %s", e.Node.Path(), e.Msg)
+	if e.Path != "" {
+		return fmt.Sprintf("dtd: %s: %s", e.Path, e.Msg)
 	}
 	return "dtd: " + e.Msg
 }
@@ -43,11 +45,6 @@ func (v ValidationErrors) Error() string {
 
 // ValidateOptions tunes validation behaviour.
 type ValidateOptions struct {
-	// ApplyDefaults inserts attribute nodes for defaulted attributes
-	// that are absent from the document (marked Defaulted), as a
-	// validating XML processor must.
-	ApplyDefaults bool
-
 	// IgnoreIDs skips ID uniqueness and IDREF resolution checks. The
 	// paper's pruning can legitimately remove IDREF targets; the
 	// security processor validates views with IgnoreIDs set.
@@ -55,22 +52,38 @@ type ValidateOptions struct {
 }
 
 // Validate checks doc against the DTD and returns all violations (nil if
-// the document is valid). With opts.ApplyDefaults it also mutates the
-// document, adding defaulted attributes.
+// the document is valid). It reads the document's arena (ReadArena): a
+// parsed document is one, and a tree built in memory is flattened
+// first, so one validator serves every caller. doc is not changed.
+// Attribute defaults are the parser's to apply.
 func (d *DTD) Validate(doc *dom.Document, opts ValidateOptions) ValidationErrors {
-	v := &validator{dtd: d, opts: opts, ids: make(map[string]*dom.Node)}
-	root := doc.DocumentElement()
-	if root == nil {
-		v.errf(nil, "document has no root element")
+	ar := doc.ReadArena()
+	v := &validator{dtd: d, ar: ar, ids: make(map[string]int32)}
+	root := ar.DocumentElement()
+	if root < 0 {
+		v.errs = append(v.errs, &ValidationError{Msg: "document has no root element"})
 		return v.errs
 	}
-	if d.Name != "" && root.Name != d.Name {
-		v.errf(root, "root element is %q, DOCTYPE declares %q", root.Name, d.Name)
+	if d.Name != "" && ar.Name(root) != d.Name {
+		v.errf(root, "root element is %q, DOCTYPE declares %q", ar.Name(root), d.Name)
 	}
-	v.element(root)
+	// Preorder is index order, so one sweep over the root's subtree
+	// checks each element before its descendants, as a recursive walk
+	// would.
+	for i, end := root, ar.SubtreeEnd(root); i < end; i++ {
+		if ar.Kind(i) != dom.ElementNode {
+			continue
+		}
+		if decl := d.Element(ar.Name(i)); decl == nil {
+			v.errf(i, "element %q is not declared", ar.Name(i))
+		} else {
+			v.content(i, decl)
+		}
+		v.attributes(i)
+	}
 	if !opts.IgnoreIDs {
 		for _, ref := range v.idrefs {
-			if v.ids[ref.id] == nil {
+			if _, ok := v.ids[ref.id]; !ok {
 				v.errf(ref.node, "IDREF %q matches no ID in the document", ref.id)
 			}
 		}
@@ -82,15 +95,15 @@ func (d *DTD) Validate(doc *dom.Document, opts ValidateOptions) ValidationErrors
 }
 
 type idref struct {
-	node *dom.Node
+	node int32
 	id   string
 }
 
 type validator struct {
 	dtd    *DTD
-	opts   ValidateOptions
+	ar     *dom.Arena
 	errs   ValidationErrors
-	ids    map[string]*dom.Node
+	ids    map[string]int32 // ID value → the attribute that declared it
 	idrefs []idref
 	// Scratch reused across elements: the child-name sequence of the
 	// element being checked and the content-model match state.
@@ -98,47 +111,39 @@ type validator struct {
 	match matchState
 }
 
-func (v *validator) errf(n *dom.Node, format string, args ...any) {
-	v.errs = append(v.errs, &ValidationError{Node: n, Msg: fmt.Sprintf(format, args...)})
+func (v *validator) errf(i int32, format string, args ...any) {
+	v.errs = append(v.errs, &ValidationError{Path: v.ar.Path(i), Msg: fmt.Sprintf(format, args...)})
 }
 
-func (v *validator) element(n *dom.Node) {
-	decl := v.dtd.Element(n.Name)
-	if decl == nil {
-		v.errf(n, "element %q is not declared", n.Name)
-	} else {
-		v.content(n, decl)
-	}
-	v.attributes(n)
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode {
-			v.element(c)
-		}
-	}
+// hasText reports whether node i is text or CDATA that is not all
+// whitespace.
+func (v *validator) hasText(i int32) bool {
+	k := v.ar.Kind(i)
+	return (k == dom.TextNode || k == dom.CDATANode) && len(bytes.TrimSpace(v.ar.RawData(i))) > 0
 }
 
-func (v *validator) content(n *dom.Node, decl *ElementDecl) {
+func (v *validator) content(n int32, decl *ElementDecl) {
+	ar := v.ar
+	name := ar.Name(n)
 	switch decl.Kind {
 	case EmptyContent:
-		for _, c := range n.Children {
-			switch c.Type {
-			case dom.ElementNode:
-				v.errf(n, "element %q is declared EMPTY but contains element %q", n.Name, c.Name)
+		for c := ar.FirstChild(n); c >= 0; c = ar.NextSibling(c) {
+			// XML 1.0 is strict here: EMPTY admits no content at all,
+			// even whitespace; we are lenient about whitespace
+			// introduced by pretty-printing.
+			if ar.Kind(c) == dom.ElementNode {
+				v.errf(n, "element %q is declared EMPTY but contains element %q", name, ar.Name(c))
 				return
-			case dom.TextNode, dom.CDATANode:
-				if strings.TrimSpace(c.Data) != "" {
-					v.errf(n, "element %q is declared EMPTY but contains character data", n.Name)
-					return
-				}
-				// XML 1.0 is strict here: EMPTY admits no content at
-				// all, even whitespace; we are lenient about
-				// whitespace introduced by pretty-printing.
+			}
+			if v.hasText(c) {
+				v.errf(n, "element %q is declared EMPTY but contains character data", name)
+				return
 			}
 		}
 	case AnyContent:
-		for _, c := range n.Children {
-			if c.Type == dom.ElementNode && v.dtd.Element(c.Name) == nil {
-				v.errf(c, "element %q (inside ANY) is not declared", c.Name)
+		for c := ar.FirstChild(n); c >= 0; c = ar.NextSibling(c) {
+			if ar.Kind(c) == dom.ElementNode && v.dtd.Element(ar.Name(c)) == nil {
+				v.errf(c, "element %q (inside ANY) is not declared", ar.Name(c))
 			}
 		}
 	case MixedContent:
@@ -150,105 +155,100 @@ func (v *validator) content(n *dom.Node, decl *ElementDecl) {
 				allowed[m] = true
 			}
 		}
-		for _, c := range n.Children {
-			if c.Type != dom.ElementNode {
+		for c := ar.FirstChild(n); c >= 0; c = ar.NextSibling(c) {
+			if ar.Kind(c) != dom.ElementNode {
 				continue
 			}
-			if allowed != nil && !allowed[c.Name] || allowed == nil && !contains(decl.Mixed, c.Name) {
-				v.errf(c, "element %q not allowed in mixed content of %q", c.Name, n.Name)
+			if cn := ar.Name(c); allowed != nil && !allowed[cn] || allowed == nil && !contains(decl.Mixed, cn) {
+				v.errf(c, "element %q not allowed in mixed content of %q", cn, name)
 			}
 		}
 	case ElementContent:
 		seq := v.seq[:0]
-		for _, c := range n.Children {
-			switch c.Type {
-			case dom.ElementNode:
-				seq = append(seq, c.Name)
-			case dom.TextNode, dom.CDATANode:
-				if strings.TrimSpace(c.Data) != "" {
-					v.errf(n, "character data not allowed in element content of %q", n.Name)
-				}
+		for c := ar.FirstChild(n); c >= 0; c = ar.NextSibling(c) {
+			if ar.Kind(c) == dom.ElementNode {
+				seq = append(seq, ar.Name(c))
+			} else if v.hasText(c) {
+				v.errf(n, "character data not allowed in element content of %q", name)
 			}
 		}
 		v.seq = seq
 		if ok, at := decl.automatonFor().matches(seq, &v.match); !ok {
 			if at >= len(seq) {
 				v.errf(n, "content of %q ends prematurely: (%s) does not complete %s",
-					n.Name, strings.Join(seq, ","), decl.Model)
+					name, strings.Join(seq, ","), decl.Model)
 			} else {
 				v.errf(n, "child %q at position %d not allowed by content model %s of %q",
-					seq[at], at+1, decl.Model, n.Name)
+					seq[at], at+1, decl.Model, name)
 			}
 		}
 	}
 }
 
 // attrScanMax is the count of attributes on an element, or of
-// declarations for its type, up to which lookups scan; past it on
-// either side both are indexed once, so validation stays linear in the
-// number of attributes.
+// declarations for its type, up to which lookups scan; past it they go
+// through an index, so validation stays linear in the number of
+// attributes.
 const attrScanMax = 8
 
-func (v *validator) attributes(n *dom.Node) {
-	defs := v.dtd.Attlists[n.Name]
-	var declared map[string]*AttDef
-	var present map[string]bool
-	if len(defs) > attrScanMax || len(n.Attrs) > attrScanMax {
-		declared = make(map[string]*AttDef, len(defs))
-		for _, def := range defs {
-			declared[def.Name] = def
-		}
-		present = make(map[string]bool, len(n.Attrs))
-		for _, a := range n.Attrs {
-			present[a.Name] = true
-		}
-	}
-	for _, a := range n.Attrs {
-		var def *AttDef
-		if declared != nil {
-			def = declared[a.Name]
-		} else {
-			def = v.dtd.AttDef(n.Name, a.Name)
-		}
+func (v *validator) attributes(n int32) {
+	ar := v.ar
+	name := ar.Name(n)
+	lo, hi := ar.Attrs(n)
+	for a := lo; a < hi; a++ {
+		def := v.dtd.AttDef(name, ar.Name(a))
 		if def == nil {
-			v.errf(a, "attribute %q is not declared for element %q", a.Name, n.Name)
+			v.errf(a, "attribute %q is not declared for element %q", ar.Name(a), name)
 			continue
 		}
 		v.attrValue(a, def)
 	}
-	for _, def := range defs {
-		if present[def.Name] || present == nil && n.AttrNode(def.Name) != nil {
+	// Past attrScanMax attributes, the names present are indexed once,
+	// at the first required declaration.
+	var present map[dom.Sym]bool
+	for _, def := range v.dtd.Attlists[name] {
+		if def.Default != RequiredDefault {
 			continue
 		}
-		switch def.Default {
-		case RequiredDefault:
-			v.errf(n, "required attribute %q of element %q is missing", def.Name, n.Name)
-		case FixedDefault, ValueDefault:
-			if v.opts.ApplyDefaults {
-				// Absent, so appending is what SetAttr would do.
-				a := dom.NewAttr(def.Name, def.Value)
-				a.Parent = n
-				a.Defaulted = true
-				n.Attrs = append(n.Attrs, a)
+		if present == nil && hi-lo > attrScanMax {
+			present = make(map[dom.Sym]bool, hi-lo)
+			for a := lo; a < hi; a++ {
+				present[ar.NameSym(a)] = true
 			}
 		}
+		if s, ok := ar.LookupSym(def.Name); ok && (present[s] || present == nil && hasAttr(ar, lo, hi, s)) {
+			continue
+		}
+		v.errf(n, "required attribute %q of element %q is missing", def.Name, name)
 	}
 }
 
-func (v *validator) attrValue(a *dom.Node, def *AttDef) {
-	val := a.Data
+// hasAttr reports whether one of the attributes [lo, hi) is named s.
+func hasAttr(ar *dom.Arena, lo, hi int32, s dom.Sym) bool {
+	for a := lo; a < hi; a++ {
+		if ar.NameSym(a) == s {
+			return true
+		}
+	}
+	return false
+}
+
+func (v *validator) attrValue(a int32, def *AttDef) {
+	if def.Type == CDATAType && def.Default != FixedDefault {
+		return // any value
+	}
+	data := string(v.ar.RawData(a))
+	val := data
 	if def.Type != CDATAType {
 		// Tokenized types get additional whitespace normalization.
 		val = strings.Join(strings.Fields(val), " ")
 	}
 	switch def.Type {
-	case CDATAType:
-		// any value
 	case IDType:
 		if !IsName(val) {
 			v.errf(a, "ID value %q is not a Name", val)
-		} else if prev := v.ids[val]; prev != nil {
-			v.errf(a, "ID %q already used at %s", val, prev.Path())
+		} else if prev, ok := v.ids[val]; ok {
+			v.errf(a, "ID %q already used at %s", val, v.ar.Path(prev))
 		} else {
 			v.ids[val] = a
 		}
@@ -296,12 +296,12 @@ func (v *validator) attrValue(a *dom.Node, def *AttDef) {
 			v.errf(a, "notation %q is not declared", val)
 		}
 	}
-	if def.Default == FixedDefault && a.Data != def.Value {
-		v.errf(a, "attribute %q is #FIXED %q but has value %q", def.Name, def.Value, a.Data)
+	if def.Default == FixedDefault && data != def.Value {
+		v.errf(a, "attribute %q is #FIXED %q but has value %q", def.Name, def.Value, data)
 	}
 }
 
-func (v *validator) entityName(a *dom.Node, name string) {
+func (v *validator) entityName(a int32, name string) {
 	ent := v.dtd.Entities[name]
 	switch {
 	case ent == nil:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,6 +10,8 @@ import (
 
 	"xmlsec/internal/dom"
 	"xmlsec/internal/dtd"
+	"xmlsec/internal/obs"
+	"xmlsec/internal/trace"
 	"xmlsec/internal/xmlparse"
 )
 
@@ -22,15 +25,14 @@ type StoredDoc struct {
 	// DTDURI is the URI of the DTD the document is an instance of;
 	// empty for DTD-less documents.
 	DTDURI string
-	// Doc is the parsed document (attribute defaults applied), stored
-	// arena-only (dom.Document.ArenaOnly): it carries the arena the
-	// parser built (Doc.ReadArena), which labeling, masking, masked
-	// serialization, XPath and update resolution run over, and no
-	// pointer tree — Doc.Node is nil. The tree the parser built lives
-	// only as long as parsing and DTD validation; the few consumers
-	// that need one (the PUT merge, update apply, oracles) take a
-	// private copy with Doc.ReadTree. Dropping the tree shrinks each
-	// stored document's live heap by more than half (docs/ARENA.md).
+	// Doc is the parsed document (attribute defaults applied) as the
+	// parser returns it, arena-only: it carries the arena the parser
+	// wrote (Doc.ReadArena), which validation, labeling, masking,
+	// masked serialization, XPath and update resolution run over, and
+	// no pointer tree — Doc.Node is nil. The few consumers that need a
+	// tree (the PUT merge, update apply, oracles) take a private copy
+	// with Doc.ReadTree. Without a tree each stored document's live
+	// heap is less than half what it was with one (docs/ARENA.md).
 	// Doc is immutable for the lifetime of this registration: a PUT
 	// installs a whole new StoredDoc under a new generation.
 	Doc *dom.Document
@@ -105,19 +107,12 @@ func (s *DocStore) Generation() uint64 {
 // If the document is not valid with respect to its DTD, registration
 // fails: the processor's contract takes valid documents as input.
 func (s *DocStore) AddDocument(uri, source string) error {
-	sd, err := s.prepareDocument(uri, source)
+	sd, err := prepareDocument(context.Background(), s.loader(), uri, source)
 	if err != nil {
 		return err
 	}
 	s.commitDocument(sd)
 	return nil
-}
-
-// prepareDocument parses and validates a document against the store's
-// registered DTDs without committing it, so callers can make the
-// registration durable between validation and the in-memory commit.
-func (s *DocStore) prepareDocument(uri, source string) (*StoredDoc, error) {
-	return prepareDocumentWith(s.loader(), uri, source)
 }
 
 // loader returns a snapshot of the registered DTD sources, the closed
@@ -132,13 +127,17 @@ func (s *DocStore) loader() xmlparse.MapLoader {
 	return loader
 }
 
-// prepareDocumentWith parses and validates a document on the parser's
-// transient tree and returns it stored arena-only: every registration
-// path (site load, AddDocument, PUT, update scripts, WAL replay and
-// snapshot restore) comes through here, so the tree dies with the call
-// that parsed it — on a batch load, inside its worker.
-func prepareDocumentWith(loader xmlparse.MapLoader, uri, source string) (*StoredDoc, error) {
+// prepareDocument parses a document into its arena and validates the
+// arena without committing it, so callers can make the registration
+// durable in between. Every registration path (site load, AddDocument,
+// PUT, update scripts, WAL replay and snapshot restore) comes through
+// here, so each goes bytes → arena → validate → store. The parse and
+// the validation are timed onto ctx's cost card as the parse and
+// validate stages.
+func prepareDocument(ctx context.Context, loader xmlparse.MapLoader, uri, source string) (*StoredDoc, error) {
+	tm := trace.StartStageChild(ctx, obs.StageParse)
 	res, err := xmlparse.Parse(source, xmlparse.Options{Loader: loader, ApplyDefaults: true})
+	tm.End()
 	if err != nil {
 		return nil, fmt.Errorf("server: document %q: %w", uri, err)
 	}
@@ -149,11 +148,14 @@ func prepareDocumentWith(loader xmlparse.MapLoader, uri, source string) (*Stored
 	if res.DTD != nil {
 		sd.DTD = res.DTD
 		sd.DTD.Name = res.Doc.DocType.Name
-		if errs := sd.DTD.Validate(res.Doc, dtd.ValidateOptions{}); errs != nil {
+		tm = trace.StartStageChild(ctx, obs.StageValidate)
+		errs := sd.DTD.Validate(res.Doc, dtd.ValidateOptions{})
+		tm.End()
+		if errs != nil {
 			return nil, fmt.Errorf("server: document %q is not valid: %w", uri, errs)
 		}
 	}
-	sd.Doc = res.Doc.ArenaOnly()
+	sd.Doc = res.Doc
 	return sd, nil
 }
 
@@ -174,7 +176,7 @@ func (s *DocStore) addDocuments(uris, sources []string) (int, error) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(uris); i = int(next.Add(1)) - 1 {
-				prepared[i], errs[i] = prepareDocumentWith(loader, uris[i], sources[i])
+				prepared[i], errs[i] = prepareDocument(context.Background(), loader, uris[i], sources[i])
 			}
 		}()
 	}

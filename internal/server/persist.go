@@ -345,8 +345,10 @@ func (s *Site) PutDocumentContext(ctx context.Context, uri, source string) error
 // a compaction when one is due, and releases the replaced document from
 // the node-set index. Callers hold persistMu; recovery calls it before
 // the log is installed, so a replayed record is not appended again.
+// The parse and the validation are timed onto ctx's cost card, so every
+// write reports the same prepare stages.
 func (s *Site) commitDocLocked(ctx context.Context, uri, source string, m mutation) (*StoredDoc, error) {
-	sd, err := s.Docs.prepareDocument(uri, source)
+	sd, err := prepareDocument(ctx, s.Docs.loader(), uri, source)
 	if err != nil {
 		return nil, err
 	}

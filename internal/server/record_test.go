@@ -52,7 +52,7 @@ func TestOneRequestRecord(t *testing.T) {
 		{"PUT", http.MethodPut, "/docs/CSlab.xml", "Sam", sam, updatedCSlab, http.StatusNoContent,
 			[]obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageParse, obs.StageMerge, obs.StageValidate, obs.StageWALAppend}},
 		{"POST update", http.MethodPost, "/docs/CSlab.xml/update", "Sam", sam, "replace-text //flname Ada Hopper", http.StatusNoContent,
-			[]obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageUpdateApply, obs.StageWALAppend}},
+			[]obs.Stage{obs.StageLabel, obs.StagePrune, obs.StageUpdateApply, obs.StageParse, obs.StageValidate, obs.StageWALAppend}},
 	}
 	for _, tc := range cases {
 		before := stageCounts()

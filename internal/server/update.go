@@ -8,7 +8,6 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
-	"xmlsec/internal/dtd"
 	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
@@ -54,7 +53,7 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 }
 
 // UpdateContext is Update under a request context: the write path's
-// stages (read view, parse, merge, validation, log append) are timed
+// stages (parse, read view, merge, validation, log append) are timed
 // onto the context's cost card and, when traced, recorded as spans;
 // the request ID is written into the audit record.
 //
@@ -119,7 +118,7 @@ func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri st
 	// write labeling are keyed by.
 	tm := trace.StartStageChild(ctx, obs.StageMerge)
 	orig := sd.Doc.ReadTree()
-	merged, err := core.MergeView(orig, &core.View{Doc: orig, Mask: readView.Mask}, res.Doc,
+	merged, err := core.MergeView(orig, &core.View{Doc: orig, Mask: readView.Mask}, res.Doc.ReadTree(),
 		func(n *dom.Node) bool { return writable(int32(n.Order)) })
 	tm.End()
 	if err != nil {
@@ -129,21 +128,10 @@ func (s *Site) mergeAndCommit(ctx context.Context, rq subjects.Requester, uri st
 		}
 		return err
 	}
-	if sd.DTDURI != "" {
-		tm = trace.StartStageChild(ctx, obs.StageValidate)
-		d := s.Docs.DTD(sd.DTDURI)
-		if d == nil {
-			return fmt.Errorf("server: document %q references unregistered DTD %q", uri, sd.DTDURI)
-		}
-		errs := d.Validate(merged, dtd.ValidateOptions{IgnoreIDs: true})
-		tm.End()
-		if errs != nil {
-			return fmt.Errorf("server: update of %q is not valid: %w", uri, errs)
-		}
-	}
-	// The replacement is durable before it is visible: the WAL record
-	// is appended (and, under -fsync always, flushed) before the commit
-	// swaps the new document in.
+	// The commit step re-parses the merged text and validates it, IDs
+	// included; the replacement is durable before it is visible: the
+	// WAL record is appended (and, under -fsync always, flushed) before
+	// the commit swaps the new document in.
 	src := merged.String()
 	_, err = s.commitDocLocked(ctx, uri, src, mutation{Op: "doc", Source: src})
 	return err

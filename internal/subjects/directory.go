@@ -144,7 +144,8 @@ func (d *Directory) wouldCycle(start string) bool {
 
 // AddUser declares a user with direct memberships in the given groups.
 // Unknown groups are declared implicitly. Adding an existing user
-// extends its membership set.
+// extends its membership set. A refused call leaves the directory as it
+// was: every check that can fail runs before the first change.
 func (d *Directory) AddUser(name string, groups ...string) error {
 	if name == "" {
 		return fmt.Errorf("subjects: empty user name")
@@ -152,14 +153,22 @@ func (d *Directory) AddUser(name string, groups ...string) error {
 	if _, isGroup := d.groups[name]; isGroup {
 		return fmt.Errorf("subjects: %q is already a group", name)
 	}
+	for _, g := range groups {
+		switch _, isUser := d.users[g]; {
+		case g == "":
+			return fmt.Errorf("subjects: empty group name")
+		case isUser || g == name:
+			return fmt.Errorf("subjects: %q is already a user", g)
+		}
+	}
 	u := d.users[name]
 	if u == nil {
 		u = &userEntry{name: name, groups: make(map[string]bool)}
 		d.users[name] = u
 	}
 	for _, g := range groups {
-		if err := d.AddGroup(g); err != nil {
-			return err
+		if d.groups[g] == nil {
+			d.groups[g] = &groupEntry{name: g, parents: make(map[string]bool)}
 		}
 		u.groups[g] = true
 	}

@@ -268,6 +268,39 @@ func TestRefusedAddGroupLeavesDirectoryUnchanged(t *testing.T) {
 	})
 }
 
+// TestRefusedAddUserLeavesDirectoryUnchanged: a refused AddUser
+// declares neither the user nor any group it names, and records no
+// membership, even when the refused group comes after ones the call
+// could have declared.
+func TestRefusedAddUserLeavesDirectoryUnchanged(t *testing.T) {
+	cases := []struct {
+		name   string
+		groups []string
+	}{
+		{"user as group after a new group", []string{"G1", "tom"}},
+		{"empty group after a new group", []string{"G1", ""}},
+		{"itself as group", []string{"G1", "u"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDirectory()
+			if err := d.AddUser("tom"); err != nil {
+				t.Fatal(err)
+			}
+			gen := d.Generation()
+			if err := d.AddUser("u", tc.groups...); err == nil {
+				t.Fatalf("AddUser(u, %q) accepted", tc.groups)
+			}
+			if d.HasUser("u") || d.HasGroup("G1") || d.MemberOf("u", "G1") {
+				t.Errorf("refused AddUser changed the directory: users %q, groups %q", d.Users(), d.Groups())
+			}
+			if d.Generation() != gen {
+				t.Errorf("refused AddUser moved the generation %d -> %d", gen, d.Generation())
+			}
+		})
+	}
+}
+
 func TestDirectoryListing(t *testing.T) {
 	d := testDir(t)
 	if got := len(d.Users()); got != 4 {

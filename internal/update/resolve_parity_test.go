@@ -72,8 +72,8 @@ func paritySetup(doc *dom.Document, seed int64, nops int, showPct, writePct int)
 // resolver it replaced (refResolve): for random scripts, upward-closed
 // read masks and writable sets, both must agree on the targets, the
 // checks counted and every per-operation report, reason text included —
-// on the parsed document and on its arena-only form, which is how the
-// site stores it.
+// on the parsed, arena-only document, which is how the site stores it,
+// and on its materialized tree, flattened again by ReadArena.
 func FuzzResolveParity(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 11, 42} {
 		f.Add(seed, uint8(4), uint8(90), uint8(80))
@@ -89,7 +89,7 @@ func FuzzResolveParity(f *testing.F) {
 			}
 			ctx := context.Background()
 			wantRes, wantReport := refResolve(ctx, doc, s, visible, writable)
-			for _, target := range []*dom.Document{doc, doc.ArenaOnly()} {
+			for _, target := range []*dom.Document{doc, doc.ReadTree()} {
 				gotRes, gotReport := Resolve(ctx, target, s, visible, writable)
 				if !reflect.DeepEqual(gotReport, wantReport) {
 					t.Fatalf("doc %d: reports differ for\n%s\narena: %v\ntree:  %v", d, s.Canonical(), gotReport, wantReport)

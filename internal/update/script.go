@@ -254,7 +254,9 @@ func (op *Op) validate() error {
 // parseFragment parses an XML fragment — a sequence of elements,
 // character data, and PIs — by wrapping it in a synthetic root.
 // Whitespace-only text between elements is dropped, exactly as the
-// site's document parse does.
+// site's document parse does. The nodes are the wrapper's children in
+// a tree materialized for this call alone; Apply copies them into each
+// document it changes.
 func parseFragment(xml string) ([]*dom.Node, error) {
 	if strings.TrimSpace(xml) == "" {
 		return nil, fmt.Errorf("missing xml argument")
@@ -263,12 +265,7 @@ func parseFragment(xml string) ([]*dom.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xml argument: %w", err)
 	}
-	root := res.Doc.DocumentElement()
-	out := make([]*dom.Node, 0, len(root.Children))
-	for _, c := range root.Children {
-		out = append(out, c.Clone())
-	}
-	return out, nil
+	return res.Doc.DocumentElement().Children, nil
 }
 
 // Canonical returns the script's canonical JSON form — the bytes the

@@ -87,7 +87,7 @@ func fuzzPolicy(doc *dom.Document, seed uint16) (inst, schema []*authz.Authoriza
 			collect(c)
 		}
 	}
-	collect(doc.Node)
+	collect(doc.ReadTree().Node)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	pol = core.Policy{Conflict: core.ConflictRule(rng.Intn(4)), Open: rng.Intn(2) == 0}
 	if len(elems) == 0 {
@@ -158,7 +158,7 @@ func TestArenaDTDDefaultedAttr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := res.Arena
+	ar := res.Doc.ReadArena()
 	var b int32 = -1
 	for i := int32(0); i < int32(ar.Len()); i++ {
 		if ar.Kind(i) == dom.ElementNode && ar.Name(i) == "b" {
@@ -189,7 +189,7 @@ func TestArenaDTDDefaultedAttr(t *testing.T) {
 	if !found {
 		t.Fatal("defaulted attribute missing from arena")
 	}
-	checkArenaStructure(t, res.Doc, ar)
+	checkArenaStructure(t, res.Doc.ReadTree(), ar)
 }
 
 // FuzzArenaParity is the arena/tree differential: for any input the
@@ -218,17 +218,15 @@ func FuzzArenaParity(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		if res.Arena == nil {
-			t.Fatal("parser returned no arena")
+		ar := res.Doc.ReadArena()
+		if ar == nil || res.Doc.Node != nil {
+			t.Fatal("parser returned no arena, or a tree")
 		}
-		if res.Doc.ReadArena() != res.Arena {
-			t.Fatal("Result.Arena is not the document's arena")
-		}
-		checkArenaStructure(t, res.Doc, res.Arena)
+		checkArenaStructure(t, res.Doc.ReadTree(), ar)
 
 		// The adapter direction: materializing the arena back into a
 		// pointer tree must reproduce the document exactly.
-		if got, want := res.Arena.Materialize().String(), res.Doc.String(); got != want {
+		if got, want := ar.Materialize().String(), res.Doc.String(); got != want {
 			t.Fatalf("Materialize round-trip diverged:\narena: %q\ntree:  %q", got, want)
 		}
 

@@ -2,6 +2,7 @@ package xmlparse_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,22 +12,42 @@ import (
 	"xmlsec/internal/xmlparse"
 )
 
-// TestParseAllocBudget pins the parser's allocations on the benchmark
-// document shape (depth 4, fanout 5, two attributes per element: 2,969
-// nodes): at most 2.5 per node. Text and attribute values that need no
-// decoding alias the input, so what remains is the tree's nodes and
-// child slices.
+// parseAllocBudget is the most allocations one Parse of the benchmark
+// document shape (depth 4, fanout 5, two attributes per element: 2,967
+// nodes) may make. The parser writes the arena's arrays directly, so
+// what remains is the arrays, their growth and trim, and the symbol
+// table: under a hundred. A parser that builds a pointer tree makes
+// about two per node (5,816 did).
+const parseAllocBudget = 600
+
+// TestParseAllocBudget pins the parser's allocations per document.
 func TestParseAllocBudget(t *testing.T) {
 	doc := workload.GenDocument(workload.DocConfig{Depth: 4, Fanout: 5, Attrs: 2, Seed: 1})
 	src := doc.String()
-	nodes := doc.NodeCount()
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := xmlparse.Parse(src, xmlparse.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perNode := allocs / float64(nodes); perNode > 2.5 {
-		t.Errorf("Parse made %.0f allocations for %d nodes (%.2f per node), budget 2.5", allocs, nodes, perNode)
+	if allocs > parseAllocBudget {
+		t.Errorf("Parse made %.0f allocations for a %d-node document, budget %d", allocs, doc.NodeCount(), parseAllocBudget)
+	}
+}
+
+// TestMalformedBodyAllocationBounded pins what a body that fails at its
+// second byte costs: the parser pre-sizes the arena from a count of
+// markup in the source, and that guess must stay bounded whatever the
+// body, or 4 MiB of '<' would allocate arrays for a million nodes.
+func TestMalformedBodyAllocationBounded(t *testing.T) {
+	src := strings.Repeat("<", 4<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := xmlparse.Parse(src, xmlparse.Options{}); err == nil {
+		t.Fatal("a body of '<' parsed")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("a malformed 4 MiB body allocated %d MiB before failing, budget 8 MiB", got>>20)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package xmlparse implements an XML 1.0 parser producing dom trees and
-// parsed DTDs.
+// Package xmlparse implements an XML 1.0 parser that writes documents
+// straight into dom arenas (through dom.Builder) and parses DTDs.
 //
 // The standard library's encoding/xml is a streaming tokenizer that
 // neither parses DTD subsets nor exposes attribute defaulting, both of

@@ -120,7 +120,7 @@ func FuzzParserParity(f *testing.F) {
 		if (got.DTD == nil) != (want.DTD == nil) || got.DTD != nil && got.DTD.String() != want.DTD.String() {
 			t.Fatalf("DTDs differ for input %q", input)
 		}
-		checkArenaStructure(t, want.Doc, got.Arena)
+		checkArenaStructure(t, want.Doc, got.Doc.ReadArena())
 	})
 }
 

@@ -104,24 +104,14 @@ const defaultMaxEntityExpansion = 1 << 20
 // document the paper's model describes.
 const MaxDepth = 10000
 
-// attrScanMax is the number of attributes per element (or attribute
-// declarations per element type) up to which name lookups scan a
-// slice; beyond it they go through a map built once, so an element
-// with many attributes costs linear time, not quadratic.
-const attrScanMax = 8
-
 // Result carries everything a parse produces.
 type Result struct {
-	// Doc is the document tree, renumbered in document order. It is
-	// the adapter view of the document — DTD validation, updates and
-	// the reference pipeline tests operate on it — and it carries the
-	// arena (Doc.ReadArena() returns Arena).
+	// Doc is the document, arena-only (Doc.Node is nil): the parser
+	// writes the struct-of-arrays arena (Doc.ReadArena) as it reads the
+	// source, and builds no pointer tree. Labeling, masking, unparsing,
+	// XPath and DTD validation run over the arena; a caller that needs
+	// a tree takes a private one with Doc.ReadTree.
 	Doc *dom.Document
-	// Arena is the struct-of-arrays representation of the same
-	// document, built at parse time: the artifact the serve path's
-	// label, mask, unparse and XPath sweeps run over. Indexes are
-	// interchangeable with Doc's preorder numbering.
-	Arena *dom.Arena
 	// DTD is the parsed document type definition (internal plus
 	// external subset), or nil if the document has no DOCTYPE.
 	DTD *dtd.DTD
@@ -166,6 +156,7 @@ type parser struct {
 	pos       int
 	opts      Options
 	dtd       *dtd.DTD
+	b         *dom.Builder
 	depth     int // open elements
 	entDepth  int
 	entBudget int // remaining entity-expansion bytes
@@ -298,79 +289,36 @@ func (p *parser) name() (string, error) {
 	return p.src[start:i], nil
 }
 
-// document parses the whole document entity.
+// document parses the whole document entity. Every node goes straight
+// into the arena builder in document order; doc collects only the XML
+// declaration and the DOCTYPE.
 func (p *parser) document() (*Result, error) {
-	doc := dom.NewDocument()
+	doc := &dom.Document{Version: "1.0"}
+	p.b = dom.NewBuilder(estimateNodes(p.src))
 	if err := p.prolog(doc); err != nil {
 		return nil, err
 	}
-	root, err := p.element()
-	if err != nil {
+	if err := p.element(); err != nil {
 		return nil, err
 	}
-	doc.Node.AppendChild(root)
 	// Misc after the document element: comments, PIs, whitespace.
-	for {
-		p.skipWS()
-		if p.eof() {
-			break
-		}
-		switch {
-		case p.hasPrefix("<!--"):
-			c, err := p.comment()
-			if err != nil {
-				return nil, err
-			}
-			if p.opts.KeepComments {
-				doc.Node.AppendChild(c)
-			}
-		case p.hasPrefix("<?"):
-			pi, err := p.procInst()
-			if err != nil {
-				return nil, err
-			}
-			doc.Node.AppendChild(pi)
-		default:
+	for p.skipWS(); !p.eof(); p.skipWS() {
+		if ok, err := p.misc(); err != nil {
+			return nil, err
+		} else if !ok {
 			return nil, p.errf("content after document element: %q", snippet(p.src[p.pos:]))
 		}
 	}
-	if p.dtd != nil && p.opts.ApplyDefaults {
-		applyDefaults(p.dtd, root)
-	}
-	doc.Renumber()
-	// Flatten into the struct-of-arrays arena while the tree is hot:
-	// names are interned, character data is escaped once into the
-	// shared byte buffer, and every later request sweeps the arrays.
-	arena := doc.BuildArena()
-	return &Result{Doc: doc, Arena: arena, DTD: p.dtd}, nil
+	return &Result{Doc: p.b.Finish(doc), DTD: p.dtd}, nil
 }
 
-// applyDefaults adds DTD-defaulted attributes without validating.
-func applyDefaults(d *dtd.DTD, n *dom.Node) {
-	defs := d.Attlists[n.Name]
-	// Past attrScanMax on either side, the present names are indexed
-	// once instead of scanned per declaration.
-	var present map[string]bool
-	if len(defs) > attrScanMax || len(n.Attrs) > attrScanMax {
-		present = make(map[string]bool, len(n.Attrs))
-		for _, a := range n.Attrs {
-			present[a.Name] = true
-		}
-	}
-	for _, def := range defs {
-		if def.Default != dtd.ValueDefault && def.Default != dtd.FixedDefault {
-			continue
-		}
-		if present[def.Name] || present == nil && n.AttrNode(def.Name) != nil {
-			continue
-		}
-		appendAttr(n, def.Name, def.Value).Defaulted = true
-	}
-	for _, c := range n.Children {
-		if c.Type == dom.ElementNode {
-			applyDefaults(d, c)
-		}
-	}
+// estimateNodes guesses a document's node count from its source, so
+// the arena's arrays seldom grow: an element has one or two tags, a
+// text node at most one after it, and an attribute one '='. The cap
+// bounds what a malformed body can make the parser allocate before it
+// fails; larger documents grow their arrays as they go.
+func estimateNodes(src string) int {
+	return min(strings.Count(src, "<")+strings.Count(src, "="), 1<<16) + 1
 }
 
 func (p *parser) prolog(doc *dom.Document) error {
@@ -382,32 +330,33 @@ func (p *parser) prolog(doc *dom.Document) error {
 	}
 	for {
 		p.skipWS()
+		ok, err := p.misc()
 		switch {
-		case p.hasPrefix("<!--"):
-			c, err := p.comment()
-			if err != nil {
-				return err
-			}
-			if p.opts.KeepComments {
-				doc.Node.AppendChild(c)
-			}
-		case p.hasPrefix("<?"):
-			pi, err := p.procInst()
-			if err != nil {
-				return err
-			}
-			doc.Node.AppendChild(pi)
-		case p.hasPrefix("<!DOCTYPE"):
-			if doc.DocType != nil {
-				return p.errf("multiple DOCTYPE declarations")
-			}
+		case err != nil:
+			return err
+		case ok:
+		case !p.hasPrefix("<!DOCTYPE"):
+			return nil
+		case doc.DocType != nil:
+			return p.errf("multiple DOCTYPE declarations")
+		default:
 			if err := p.doctype(doc); err != nil {
 				return err
 			}
-		default:
-			return nil
 		}
 	}
+}
+
+// misc reads a comment or a processing instruction outside the document
+// element, reporting whether one was there.
+func (p *parser) misc() (bool, error) {
+	switch {
+	case p.hasPrefix("<!--"):
+		return true, p.comment()
+	case p.hasPrefix("<?"):
+		return true, p.procInst()
+	}
+	return false, nil
 }
 
 func (p *parser) xmlDecl(doc *dom.Document) error {
@@ -565,79 +514,73 @@ func (p *parser) doctype(doc *dom.Document) error {
 }
 
 // element parses an element and its content, starting at '<'.
-func (p *parser) element() (*dom.Node, error) {
+func (p *parser) element() error {
 	if p.depth == MaxDepth {
-		return nil, p.errf("element nesting exceeds %d levels", MaxDepth)
+		return p.errf("element nesting exceeds %d levels", MaxDepth)
 	}
 	if err := p.expect("<"); err != nil {
-		return nil, err
+		return err
 	}
 	name, err := p.name()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	el := dom.NewElement(name)
-	// Duplicate attributes are found by scanning el.Attrs until the
-	// element has attrScanMax of them, then through seen.
-	var seen map[string]bool
+	p.b.StartElement(name)
 	for {
 		had := p.skipWS()
 		switch {
 		case p.consume("/>"):
-			return el, nil
+			p.applyDefaults(name)
+			p.b.EndElement()
+			return nil
 		case p.consume(">"):
+			p.applyDefaults(name)
 			p.depth++
-			err := p.content(el)
+			err := p.content(name)
 			p.depth--
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return el, p.endTag(name)
+			p.b.EndElement()
+			return p.endTag(name)
 		default:
 			if !had {
-				return nil, p.errf("malformed start tag for %q", name)
+				return p.errf("malformed start tag for %q", name)
 			}
 			aname, err := p.name()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if seen == nil && len(el.Attrs) == attrScanMax {
-				seen = make(map[string]bool, 2*attrScanMax)
-				for _, a := range el.Attrs {
-					seen[a.Name] = true
-				}
-			}
-			dup := seen[aname]
-			if seen != nil {
-				seen[aname] = true
-			} else {
-				dup = el.AttrNode(aname) != nil
-			}
-			if dup {
-				return nil, p.errf("duplicate attribute %q on element %q", aname, name)
+			if p.b.HasAttr(aname) {
+				return p.errf("duplicate attribute %q on element %q", aname, name)
 			}
 			p.skipWS()
 			if err := p.expect("="); err != nil {
-				return nil, err
+				return err
 			}
 			p.skipWS()
 			aval, err := p.attValue()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			appendAttr(el, aname, aval)
+			p.b.Attr(aname, aval, false)
 		}
 	}
 }
 
-// appendAttr attaches a new attribute to el. Callers have checked that
-// el has no attribute of that name, which is what SetAttr would scan
-// for.
-func appendAttr(el *dom.Node, name, value string) *dom.Node {
-	a := dom.NewAttr(name, value)
-	a.Parent = el
-	el.Attrs = append(el.Attrs, a)
-	return a
+// applyDefaults ends a start tag: with Options.ApplyDefaults it adds
+// the element's absent attributes that the DTD gives a default or fixed
+// value, in declaration order after the explicit ones, marked
+// defaulted.
+func (p *parser) applyDefaults(name string) {
+	if p.dtd == nil || !p.opts.ApplyDefaults {
+		return
+	}
+	for _, def := range p.dtd.Attlists[name] {
+		if (def.Default == dtd.ValueDefault || def.Default == dtd.FixedDefault) && !p.b.HasAttr(def.Name) {
+			p.b.Attr(def.Name, def.Value, true)
+		}
+	}
 }
 
 func (p *parser) endTag(name string) error {
@@ -831,19 +774,19 @@ func (p *parser) expandEntityText(s string, depth int) (string, error) {
 	return b.String(), nil
 }
 
-// content parses element content until the matching end tag.
-func (p *parser) content(el *dom.Node) error {
+// content parses the content of element name until its end tag.
+func (p *parser) content(name string) error {
 	var text textRun
 	flush := func() {
 		s := text.take()
 		if s == "" || !p.opts.KeepWhitespace && strings.TrimSpace(s) == "" {
 			return
 		}
-		el.AppendChild(dom.NewText(s))
+		p.b.Leaf(dom.TextNode, "", s)
 	}
 	for {
 		if p.eof() {
-			return p.errf("unexpected end of input inside element %q", el.Name)
+			return p.errf("unexpected end of input inside element %q", name)
 		}
 		switch p.src[p.pos] {
 		case '<':
@@ -857,34 +800,24 @@ func (p *parser) content(el *dom.Node) error {
 				return nil
 			case next == '!' && p.hasPrefix("<!--"):
 				flush()
-				c, err := p.comment()
-				if err != nil {
+				if err := p.comment(); err != nil {
 					return err
-				}
-				if p.opts.KeepComments {
-					el.AppendChild(c)
 				}
 			case next == '!' && p.hasPrefix("<![CDATA["):
-				cd, err := p.cdata()
-				if err != nil {
+				flush()
+				if err := p.cdata(); err != nil {
 					return err
 				}
-				flush()
-				el.AppendChild(cd)
 			case next == '?':
 				flush()
-				pi, err := p.procInst()
-				if err != nil {
+				if err := p.procInst(); err != nil {
 					return err
 				}
-				el.AppendChild(pi)
 			default:
 				flush()
-				child, err := p.element()
-				if err != nil {
+				if err := p.element(); err != nil {
 					return err
 				}
-				el.AppendChild(child)
 			}
 		case '&':
 			s, err := p.reference(false)
@@ -944,45 +877,51 @@ func (t *textRun) take() string {
 	return s
 }
 
-func (p *parser) comment() (*dom.Node, error) {
+// comment reads a comment, kept with Options.KeepComments.
+func (p *parser) comment() error {
 	p.advance(4) // "<!--"
 	end := strings.Index(p.src[p.pos:], "-->")
 	if end < 0 {
-		return nil, p.errf("unterminated comment")
+		return p.errf("unterminated comment")
 	}
 	body := p.src[p.pos : p.pos+end]
 	if strings.Contains(body, "--") || strings.HasSuffix(body, "-") {
-		return nil, p.errf("comment text must not contain '--' or end with '-'")
+		return p.errf("comment text must not contain '--' or end with '-'")
 	}
 	p.advance(end + 3)
-	return dom.NewComment(body), nil
+	if p.opts.KeepComments {
+		p.b.Leaf(dom.CommentNode, "", body)
+	}
+	return nil
 }
 
-func (p *parser) cdata() (*dom.Node, error) {
+func (p *parser) cdata() error {
 	p.advance(len("<![CDATA["))
 	end := strings.Index(p.src[p.pos:], "]]>")
 	if end < 0 {
-		return nil, p.errf("unterminated CDATA section")
+		return p.errf("unterminated CDATA section")
 	}
 	body := p.src[p.pos : p.pos+end]
 	p.advance(end + 3)
-	return dom.NewCDATA(body), nil
+	p.b.Leaf(dom.CDATANode, "", body)
+	return nil
 }
 
-func (p *parser) procInst() (*dom.Node, error) {
+func (p *parser) procInst() error {
 	p.advance(2) // "<?"
 	target, err := p.name()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if strings.EqualFold(target, "xml") {
-		return nil, p.errf("processing instruction target %q is reserved", target)
+		return p.errf("processing instruction target %q is reserved", target)
 	}
 	end := strings.Index(p.src[p.pos:], "?>")
 	if end < 0 {
-		return nil, p.errf("unterminated processing instruction")
+		return p.errf("unterminated processing instruction")
 	}
 	data := strings.TrimLeft(p.src[p.pos:p.pos+end], " \t\r\n")
 	p.advance(end + 2)
-	return dom.NewProcInst(target, data), nil
+	p.b.Leaf(dom.ProcessingInstructionNode, target, data)
+	return nil
 }

@@ -93,7 +93,7 @@ func TestCommentsDroppedByDefault(t *testing.T) {
 
 func TestProcessingInstruction(t *testing.T) {
 	res := parseOK(t, `<?go fmt?><a><?stylesheet href="x"?></a>`, Options{})
-	prolog := res.Doc.Node.Children[0]
+	prolog := res.Doc.ReadTree().Node.Children[0]
 	if prolog.Type != dom.ProcessingInstructionNode || prolog.Name != "go" || prolog.Data != "fmt" {
 		t.Errorf("prolog PI wrong: %+v", prolog)
 	}

@@ -186,11 +186,7 @@ func (p *refParser) document() (*xmlparse.Result, error) {
 		refApplyDefaults(p.dtd, root)
 	}
 	doc.Renumber()
-	// Flatten into the struct-of-arrays arena while the tree is hot:
-	// names are interned, character data is escaped once into the
-	// shared byte buffer, and every later request sweeps the arrays.
-	arena := doc.BuildArena()
-	return &xmlparse.Result{Doc: doc, Arena: arena, DTD: p.dtd}, nil
+	return &xmlparse.Result{Doc: doc, DTD: p.dtd}, nil
 }
 
 // refApplyDefaults adds DTD-defaulted attributes without validating.
@@ -706,7 +702,7 @@ func (p *refParser) comment() (*dom.Node, error) {
 		return nil, p.errf("comment text must not contain '--' or end with '-'")
 	}
 	p.advance(end + 3)
-	return dom.NewComment(body), nil
+	return &dom.Node{Type: dom.CommentNode, Data: body}, nil
 }
 
 func (p *refParser) cdata() (*dom.Node, error) {
@@ -717,7 +713,7 @@ func (p *refParser) cdata() (*dom.Node, error) {
 	}
 	body := p.src[p.pos : p.pos+end]
 	p.advance(end + 3)
-	return dom.NewCDATA(body), nil
+	return &dom.Node{Type: dom.CDATANode, Data: body}, nil
 }
 
 func (p *refParser) procInst() (*dom.Node, error) {
@@ -735,5 +731,5 @@ func (p *refParser) procInst() (*dom.Node, error) {
 	}
 	data := strings.TrimLeft(p.src[p.pos:p.pos+end], " \t\r\n")
 	p.advance(end + 2)
-	return dom.NewProcInst(target, data), nil
+	return &dom.Node{Type: dom.ProcessingInstructionNode, Name: target, Data: data}, nil
 }

@@ -19,8 +19,8 @@ func parityDoc(t *testing.T, src string) *dom.Document {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if res.Arena == nil || res.Doc.ReadArena() != res.Arena {
-		t.Fatal("parser built no arena")
+	if res.Doc.ReadArena() == nil || res.Doc.Node != nil {
+		t.Fatal("parser built no arena, or a tree")
 	}
 	return res.Doc
 }

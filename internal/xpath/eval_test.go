@@ -26,7 +26,7 @@ func evalTree(t *testing.T) *dom.Document {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Doc
+	return res.Doc.ReadTree()
 }
 
 // sel evaluates expr from the document node and returns the node-set.

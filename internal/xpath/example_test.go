@@ -25,7 +25,7 @@ func ExamplePath_Eval() {
 		`<cart><item price="3"/><item price="4"/></cart>`,
 		xmlparse.Options{})
 	p, _ := xpath.Compile(`sum(//item/@price)`)
-	v, _ := p.Eval(res.Doc.Node)
+	v, _ := p.Eval(res.Doc.ReadTree().Node)
 	fmt.Println(v.ToNumber())
 	// Output:
 	// 7

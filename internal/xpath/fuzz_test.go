@@ -38,7 +38,7 @@ func FuzzCompileEval(f *testing.F) {
 			return
 		}
 		// Evaluation may fail (type errors) but must not panic.
-		_, _ = p.Eval(res.Doc.Node)
+		_, _ = p.Eval(res.Doc.ReadTree().Node)
 		// The canonical form must re-compile.
 		if _, err := Compile(p.String()); err != nil {
 			t.Fatalf("canonical form %q of %q does not re-compile: %v", p.String(), expr, err)

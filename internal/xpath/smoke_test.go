@@ -24,7 +24,7 @@ func TestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := res.Doc
+	doc := res.Doc.ReadTree()
 	cases := []struct {
 		expr string
 		want int

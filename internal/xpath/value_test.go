@@ -80,16 +80,16 @@ func TestNodeString(t *testing.T) {
 	e := dom.NewElement("e")
 	e.AppendChild(dom.NewText("a"))
 	child := dom.NewElement("c")
-	child.AppendChild(dom.NewCDATA("b"))
+	child.AppendChild(&dom.Node{Type: dom.CDATANode, Data: "b"})
 	e.AppendChild(child)
 	if got := NodeString(e); got != "ab" {
 		t.Errorf("element string-value = %q", got)
 	}
-	at := dom.NewAttr("k", "v")
+	at := &dom.Node{Type: dom.AttributeNode, Name: "k", Data: "v"}
 	if NodeString(at) != "v" {
 		t.Error("attribute string-value wrong")
 	}
-	if NodeString(dom.NewComment("c")) != "c" || NodeString(dom.NewProcInst("t", "d")) != "d" {
+	if NodeString(&dom.Node{Type: dom.CommentNode, Data: "c"}) != "c" || NodeString(&dom.Node{Type: dom.ProcessingInstructionNode, Name: "t", Data: "d"}) != "d" {
 		t.Error("comment/PI string-values wrong")
 	}
 }
