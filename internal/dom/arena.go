@@ -28,13 +28,20 @@ type span struct{ off, n uint32 }
 //     computed against the arena is interchangeable with one computed
 //     against the tree.
 //   - An element's attributes occupy the contiguous index range
-//     [attrStart, attrEnd), which immediately follows the element.
-//   - firstChild/nextSibling link only non-attribute children;
-//     attributes are reached through their range, never the child list.
+//     [i+1, attrEnd[i]) right after the element; for every other kind
+//     attrEnd[i] is i+1.
+//   - nextSibling links only non-attribute children. No first-child
+//     array is kept: the slot after a node's attributes, attrEnd[i], is
+//     its first child exactly when that slot's parent is i.
 //   - All character data lives in one shared byte buffer. Each node
-//     carries a raw span (the exact parsed data) and an escape span
-//     (the serialization-ready form, escaped once at build time); when
-//     escaping is the identity the two spans alias the same bytes.
+//     carries a raw span (the exact parsed data). Its serialization-
+//     ready form, escaped once at build time, is the raw span itself
+//     unless the slot is in escaped; then it is the slot's entry in
+//     escSpans, in slot order.
+//
+// That is 25 bytes per slot in the per-slot arrays (kind 1, name 4,
+// parent 4, nextSibling 4, attrEnd 4, raw 8), plus a few bits per slot
+// in the bitmasks.
 //
 // An Arena is immutable after construction: readers may share it
 // freely across goroutines. It is only meaningful for the document and
@@ -43,12 +50,11 @@ type Arena struct {
 	kind        []NodeType
 	name        []Sym
 	parent      []int32
-	firstChild  []int32
 	nextSibling []int32
-	attrStart   []int32
 	attrEnd     []int32
 	raw         []span
-	esc         []span
+	escaped     rankMask // slots whose escaped form differs from raw
+	escSpans    []span   // the escaped forms, by rank in escaped
 	defaulted   Bitmask
 	elemAttr    Bitmask // set for every element and attribute index
 	bytes       []byte
@@ -74,16 +80,6 @@ func (a *Arena) appendRaw(s string) span {
 	sp := span{off: uint32(len(a.bytes)), n: uint32(len(s))}
 	a.bytes = append(a.bytes, s...)
 	return sp
-}
-
-// appendEsc returns the span for the escaped form of a raw span: when
-// escaping changed nothing the raw span is aliased, otherwise the
-// escaped bytes are appended separately.
-func (a *Arena) appendEsc(raw span, escaped string) span {
-	if int(raw.n) == len(escaped) && string(a.bytes[raw.off:raw.off+raw.n]) == escaped {
-		return raw
-	}
-	return a.appendRaw(escaped)
 }
 
 // renderCDATA pre-renders a CDATA body as the complete section markup,
@@ -124,15 +120,21 @@ func (a *Arena) NameSym(i int32) Sym { return a.name[i] }
 // Parent returns the parent index of i, or -1 for the document node.
 func (a *Arena) Parent(i int32) int32 { return a.parent[i] }
 
-// FirstChild returns the first non-attribute child of i, or -1.
-func (a *Arena) FirstChild(i int32) int32 { return a.firstChild[i] }
+// FirstChild returns the first non-attribute child of i, or -1: the
+// slot after i's attributes, when i is its parent.
+func (a *Arena) FirstChild(i int32) int32 {
+	if c := a.attrEnd[i]; int(c) < len(a.parent) && a.parent[c] == i {
+		return c
+	}
+	return -1
+}
 
 // NextSibling returns the next non-attribute sibling of i, or -1.
 func (a *Arena) NextSibling(i int32) int32 { return a.nextSibling[i] }
 
 // Attrs returns the contiguous attribute index range [start, end) of
 // element i (an empty range for attribute-less or non-element nodes).
-func (a *Arena) Attrs(i int32) (start, end int32) { return a.attrStart[i], a.attrEnd[i] }
+func (a *Arena) Attrs(i int32) (start, end int32) { return i + 1, a.attrEnd[i] }
 
 // RawData returns the raw character data at index i: the text/CDATA
 // content, comment body, PI instruction, or attribute value, exactly
@@ -143,9 +145,13 @@ func (a *Arena) RawData(i int32) []byte {
 	return a.bytes[sp.off : sp.off+sp.n]
 }
 
-// escData returns the serialization-ready bytes at index i.
+// escData returns the serialization-ready bytes at index i: the raw
+// data, unless escaping changed it.
 func (a *Arena) escData(i int32) []byte {
-	sp := a.esc[i]
+	sp := a.raw[i]
+	if a.escaped.has(i) {
+		sp = a.escSpans[a.escaped.rank(i)]
+	}
 	return a.bytes[sp.off : sp.off+sp.n]
 }
 
@@ -184,7 +190,7 @@ func (a *Arena) SubtreeEnd(i int32) int32 {
 // DocumentElement returns the index of the document element (the first
 // element child of the document node), or -1 if the arena has none.
 func (a *Arena) DocumentElement() int32 {
-	for c := a.firstChild[0]; c >= 0; c = a.nextSibling[c] {
+	for c := a.FirstChild(0); c >= 0; c = a.nextSibling[c] {
 		if a.kind[c] == ElementNode {
 			return c
 		}
@@ -223,25 +229,39 @@ const ServeIndent = "  "
 // the document; and with every child visible the pretty-print decision
 // is the same as in the full rendering.
 type rendering struct {
-	once       sync.Once
-	buf        []byte
-	start, end []int32 // per element index: its span is buf[start:end]
+	once  sync.Once
+	buf   []byte
+	elems rankMask // the element slots
+	spans []span   // by element rank: the subtree's bytes in buf
+}
+
+// span returns the rendered bytes of element i's subtree.
+func (r *rendering) span(i int32) []byte {
+	sp := r.spans[r.elems.rank(i)]
+	return r.buf[sp.off : sp.off+sp.n]
 }
 
 // rendering returns the arena's rendering, building it on first use.
 // Concurrent first callers wait for one build (the Once), so a document
 // version is rendered at most once; it costs about one serialized copy
-// of the document plus two int32 per node, and lives as long as the
+// of the document plus 8 bytes per element, and lives as long as the
 // arena does.
 func (a *Arena) rendering() *rendering {
 	r := &a.render
 	r.once.Do(func() {
+		elems := NewBitmask(len(a.kind))
+		n := 0
+		for i, k := range a.kind {
+			if k == ElementNode {
+				elems.Set(i)
+				n++
+			}
+		}
+		r.elems, r.spans = newRankMask(elems), make([]span, n)
 		var b bytes.Buffer
 		b.Grow(a.sizeHint)
-		r.start = make([]int32, len(a.kind))
-		r.end = make([]int32, len(a.kind))
 		s := arenaWriter{a: a, w: newErrWriter(&b), indent: ServeIndent, rec: r}
-		for c := a.firstChild[0]; c >= 0; c = a.nextSibling[c] {
+		for c := a.FirstChild(0); c >= 0; c = a.nextSibling[c] {
 			s.node(c, 0, 0)
 		}
 		// The buffer grew by doubling; keep only the bytes.
@@ -325,11 +345,11 @@ func (a *Arena) materialize(mask Bitmask) (*Document, []Node) {
 				nd.Parent.Children = append(nd.Parent.Children, nd)
 			}
 		}
-		if k := mask.CountRange(int(a.attrStart[i]), int(a.attrEnd[i])); k > 0 {
+		if k := mask.CountRange(i+1, int(a.attrEnd[i])); k > 0 {
 			nd.Attrs = window(k)
 		}
 		k := 0
-		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+		for c := a.FirstChild(int32(i)); c >= 0; c = a.nextSibling[c] {
 			if mask.VisibleIdx(c) {
 				k++
 			}
@@ -369,14 +389,14 @@ func (a *Arena) Path(i int32) string {
 func (a *Arena) Subtree(i int32, mask Bitmask) *Node {
 	nd := &Node{}
 	a.fill(nd, i, "")
-	for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
+	for at := i + 1; at < a.attrEnd[i]; at++ {
 		if mask.VisibleIdx(at) {
 			ac := a.Subtree(at, mask)
 			ac.Parent = nd
 			nd.Attrs = append(nd.Attrs, ac)
 		}
 	}
-	for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+	for c := a.FirstChild(i); c >= 0; c = a.nextSibling[c] {
 		if mask.VisibleIdx(c) {
 			cc := a.Subtree(c, mask)
 			cc.Parent = nd

@@ -20,7 +20,7 @@ type arenaWriter struct {
 	copy   *rendering
 
 	// rec is set only while the rendering itself is written into a
-	// bytes.Buffer: each element's span is recorded as the buffer's
+	// bytes.Buffer: each element's span is recorded from the buffer's
 	// length before and after it.
 	rec *rendering
 }
@@ -36,7 +36,7 @@ func (a *Arena) writeContent(w *errWriter, opts WriteOptions, copySpans bool) {
 	if copySpans && opts.Mask != nil && opts.Indent == ServeIndent {
 		s.copy = a.rendering()
 	}
-	for c := a.firstChild[0]; c >= 0; c = a.nextSibling[c] {
+	for c := a.FirstChild(0); c >= 0; c = a.nextSibling[c] {
 		if !s.mask.VisibleIdx(c) {
 			continue
 		}
@@ -62,7 +62,7 @@ func (s *arenaWriter) writeIndent(depth int) {
 func (s *arenaWriter) hasElementContent(i int32) bool {
 	a := s.a
 	any := false
-	for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+	for c := a.FirstChild(i); c >= 0; c = a.nextSibling[c] {
 		if !s.mask.VisibleIdx(c) {
 			continue
 		}
@@ -91,10 +91,18 @@ func (s *arenaWriter) siblingEnd(c, parentEnd int32) int32 {
 	return parentEnd
 }
 
+// recordStart opens element i's span while the rendering is written.
+func (s *arenaWriter) recordStart(i int32) {
+	if s.rec != nil {
+		s.rec.spans[s.rec.elems.rank(i)].off = uint32(s.w.buf.Len())
+	}
+}
+
 // recordEnd closes element i's span while the rendering is written.
 func (s *arenaWriter) recordEnd(i int32) {
 	if s.rec != nil {
-		s.rec.end[i] = int32(s.w.buf.Len())
+		sp := &s.rec.spans[s.rec.elems.rank(i)]
+		sp.n = uint32(s.w.buf.Len()) - sp.off
 	}
 }
 
@@ -106,15 +114,13 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 	switch a.kind[i] {
 	case ElementNode:
 		if s.copy != nil && s.mask.allSet(int(i), int(end)) {
-			w.bytes(s.copy.buf[s.copy.start[i]:s.copy.end[i]])
+			w.bytes(s.copy.span(i))
 			return
 		}
-		if s.rec != nil {
-			s.rec.start[i] = int32(s.w.buf.Len())
-		}
+		s.recordStart(i)
 		w.str("<")
 		w.str(a.Name(i))
-		for at := a.attrStart[i]; at < a.attrEnd[i]; at++ {
+		for at := i + 1; at < a.attrEnd[i]; at++ {
 			if !s.mask.VisibleIdx(at) {
 				continue
 			}
@@ -125,7 +131,7 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 			w.str(`"`)
 		}
 		empty := true
-		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+		for c := a.FirstChild(i); c >= 0; c = a.nextSibling[c] {
 			if s.mask.VisibleIdx(c) {
 				empty = false
 				break
@@ -138,7 +144,7 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 		}
 		w.str(">")
 		pretty := s.indent != "" && s.hasElementContent(i)
-		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+		for c := a.FirstChild(i); c >= 0; c = a.nextSibling[c] {
 			if !s.mask.VisibleIdx(c) {
 				continue
 			}
@@ -160,8 +166,8 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 		w.str(">")
 		s.recordEnd(i)
 	case TextNode, CDATANode:
-		// esc holds the escaped text (or the complete pre-rendered CDATA
-		// section); emit it verbatim.
+		// The escaped text (or the complete pre-rendered CDATA section);
+		// emit it verbatim.
 		w.bytes(a.escData(i))
 	case CommentNode:
 		w.str("<!--")
@@ -170,7 +176,7 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 	case ProcessingInstructionNode:
 		w.str("<?")
 		w.str(a.Name(i))
-		if a.esc[i].n > 0 {
+		if a.raw[i].n > 0 {
 			w.str(" ")
 			w.bytes(a.escData(i))
 		}
@@ -181,7 +187,7 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 		w.bytes(a.escData(i))
 		w.str(`"`)
 	case DocumentNode:
-		for c := a.firstChild[i]; c >= 0; c = a.nextSibling[c] {
+		for c := a.FirstChild(i); c >= 0; c = a.nextSibling[c] {
 			if s.mask.VisibleIdx(c) {
 				s.node(c, depth, s.siblingEnd(c, end))
 			}

@@ -3,6 +3,7 @@ package dom
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -416,34 +417,42 @@ func TestBitmaskSetRange(t *testing.T) {
 }
 
 // spanDoc builds a document with every node kind, mixed and element
-// content, and whitespace-only text, carrying its arena.
+// content, whitespace-only text, and character data whose escaped form
+// differs from the raw one (text and attribute values with '&', '<',
+// '>', '"' and control whitespace; CDATA containing "]]>"), next to
+// comments and PIs that are written verbatim. It carries its arena.
 func spanDoc(seed int64) *Document {
 	rng := rand.New(rand.NewSource(seed))
 	doc := NewDocument()
-	doc.Node.AppendChild(&Node{Type: CommentNode, Data: " prolog "})
+	doc.Node.AppendChild(&Node{Type: CommentNode, Data: " prolog & <x> "})
 	root := NewElement("r")
 	doc.SetDocumentElement(root)
+	values := []string{"v<%d>&\"", "plain%d", "tab\t%d\nline", "q\"%d\"'"}
 	var grow func(e *Node, depth int)
 	grow = func(e *Node, depth int) {
 		for a := 0; a < rng.Intn(3); a++ {
-			e.SetAttr(fmt.Sprintf("a%d", a), fmt.Sprintf("v<%d>&\"", rng.Intn(9)))
+			e.SetAttr(fmt.Sprintf("a%d", a), fmt.Sprintf(values[rng.Intn(len(values))], rng.Intn(9)))
 		}
 		if depth == 0 {
 			e.AppendChild(NewText(fmt.Sprintf("leaf & %d", rng.Intn(9))))
 			return
 		}
 		for c := 0; c < 1+rng.Intn(4); c++ {
-			switch rng.Intn(8) {
+			switch rng.Intn(10) {
 			case 0:
-				e.AppendChild(NewText("mixed <text>"))
+				e.AppendChild(NewText("mixed <text> & \"quotes\" a > b"))
 			case 1:
 				e.AppendChild(NewText("\n   "))
 			case 2:
-				e.AppendChild(&Node{Type: CommentNode, Data: "c"})
+				e.AppendChild(&Node{Type: CommentNode, Data: "c & <d>"})
 			case 3:
-				e.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "pi", Data: "x"})
+				e.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "pi", Data: "x & <y>"})
 			case 4:
 				e.AppendChild(&Node{Type: CDATANode, Data: "raw ]]> data"})
+			case 5:
+				e.AppendChild(&Node{Type: CDATANode, Data: "]]>]]>&<"})
+			case 6:
+				e.AppendChild(NewText("plain"))
 			default:
 				k := NewElement(fmt.Sprintf("e%d", rng.Intn(3)))
 				e.AppendChild(k)
@@ -493,13 +502,28 @@ func viewMask(doc *Document, rng *rand.Rand) Bitmask {
 // the arena's rendering, emits exactly what the tree writer emits for
 // the pruned copy — for random upward-closed masks, the full mask (the
 // whole rendering) and the other indents, which write node by node.
+// The documents' character data exercises every escape the arena
+// stores in its sparse table, and the masks leave both fully visible
+// subtrees (copied) and partly masked ones (written node by node).
 func TestRenderedSpansMatchNodeWriter(t *testing.T) {
+	copied, partial, escaped := 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		doc := spanDoc(seed)
+		ar := doc.ReadArena()
 		rng := rand.New(rand.NewSource(seed))
 		full := NewBitmask(doc.NodeCount())
 		full.SetRange(0, doc.NodeCount())
 		for round, mask := range []Bitmask{full, viewMask(doc, rng), viewMask(doc, rng), viewMask(doc, rng)} {
+			for i := int32(1); i < int32(ar.Len()); i++ {
+				if ar.Kind(i) != ElementNode || !mask.Get(int(i)) {
+					continue
+				}
+				if mask.allSet(int(i), int(ar.SubtreeEnd(i))) {
+					copied++
+				} else {
+					partial++
+				}
+			}
 			for _, opts := range []WriteOptions{{Indent: ServeIndent}, {Indent: ServeIndent, OmitDecl: true}, {}, {Indent: "\t"}} {
 				var got, want strings.Builder
 				opts.Mask = mask
@@ -519,6 +543,13 @@ func TestRenderedSpansMatchNodeWriter(t *testing.T) {
 		if doc.arena.render.buf == nil {
 			t.Fatalf("seed %d: a masked write under ServeIndent did not render the document", seed)
 		}
+		escaped += len(ar.escSpans)
+	}
+	if escaped == 0 {
+		t.Fatal("no character data needed escaping")
+	}
+	if copied == 0 || partial == 0 {
+		t.Fatalf("%d fully visible and %d partly masked elements written: the masks must give both", copied, partial)
 	}
 }
 
@@ -546,4 +577,168 @@ func TestRenderOnceConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// linkRecorder feeds a tree to a Builder and records, as the nodes
+// arrive, the links the arena must answer: each node's first
+// non-attribute child and the end of its attribute range.
+type linkRecorder struct {
+	b       *Builder
+	next    int32
+	first   map[int32]int32
+	attrEnd map[int32]int32
+}
+
+func recordLinks(doc *Document) (*Arena, *linkRecorder) {
+	r := &linkRecorder{b: NewBuilder(0), next: 1, first: map[int32]int32{}, attrEnd: map[int32]int32{}}
+	for _, c := range doc.Node.Children {
+		r.add(0, c)
+	}
+	return r.b.Finish(doc).arena, r
+}
+
+func (r *linkRecorder) add(parent int32, nd *Node) {
+	i := r.next
+	r.next++
+	if _, ok := r.first[parent]; !ok {
+		r.first[parent] = i
+	}
+	switch nd.Type {
+	case ElementNode:
+		r.b.StartElement(nd.Name)
+		r.attrEnd[i] = i + 1
+		for _, at := range nd.Attrs {
+			r.b.Attr(at.Name, at.Data, at.Defaulted)
+			r.next++
+			r.attrEnd[i] = r.next
+		}
+		for _, c := range nd.Children {
+			r.add(i, c)
+		}
+		r.b.EndElement()
+	default:
+		r.b.Leaf(nd.Type, nd.Name, nd.Data)
+	}
+}
+
+// TestArenaDerivedLinks pins the links the arena derives instead of
+// storing: FirstChild (the slot after a node's attributes, when that
+// slot is its child) and Attrs (from the node's attribute end) equal
+// the links recorded as the builder received the nodes — on fixtures
+// with empty, attribute-only, text-first and prolog-carrying
+// documents, and on random documents of every node kind.
+func TestArenaDerivedLinks(t *testing.T) {
+	fixture := func(build func(doc *Document)) *Document {
+		doc := NewDocument()
+		build(doc)
+		return doc
+	}
+	docs := []*Document{
+		fixture(func(doc *Document) { doc.SetDocumentElement(NewElement("a")) }),
+		fixture(func(doc *Document) {
+			a := NewElement("a")
+			a.SetAttr("x", "1")
+			a.SetAttr("y", "2")
+			doc.SetDocumentElement(a)
+		}),
+		fixture(func(doc *Document) {
+			doc.Node.AppendChild(&Node{Type: CommentNode, Data: "p"})
+			a := NewElement("a")
+			doc.SetDocumentElement(a)
+			a.AppendChild(NewText("t"))
+			b := NewElement("b")
+			b.SetAttr("k", "v")
+			a.AppendChild(b)
+			b.AppendChild(NewElement("c"))
+			a.AppendChild(&Node{Type: ProcessingInstructionNode, Name: "p", Data: "d"})
+			doc.Node.AppendChild(&Node{Type: CommentNode, Data: "q"})
+		}),
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		docs = append(docs, spanDoc(seed))
+	}
+	for d, doc := range docs {
+		ar, rec := recordLinks(doc)
+		if int(rec.next) != ar.Len() {
+			t.Fatalf("doc %d: recorded %d slots, arena has %d", d, rec.next, ar.Len())
+		}
+		for i := int32(0); i < int32(ar.Len()); i++ {
+			first, ok := rec.first[i]
+			if !ok {
+				first = -1
+			}
+			if got := ar.FirstChild(i); got != first {
+				t.Fatalf("doc %d: FirstChild(%d) = %d, builder linked %d", d, i, got, first)
+			}
+			end, ok := rec.attrEnd[i]
+			if !ok {
+				end = i + 1
+			}
+			if s, e := ar.Attrs(i); s != i+1 || e != end {
+				t.Fatalf("doc %d: Attrs(%d) = [%d, %d), builder gave [%d, %d)", d, i, s, e, i+1, end)
+			}
+		}
+	}
+}
+
+// slotBytes sums the bytes of the slice fields of the struct v, which
+// must each be indexed by slot or hold a slot bitmask's words. The
+// fields named in sparse hold data per member of a subset and are
+// left out.
+func slotBytes(v reflect.Value, sparse map[string]bool) int {
+	total := 0
+	for f := 0; f < v.NumField(); f++ {
+		fv, ft := v.Field(f), v.Type().Field(f)
+		switch {
+		case sparse[ft.Name]:
+		case fv.Kind() == reflect.Slice:
+			total += fv.Len() * int(ft.Type.Elem().Size())
+		case fv.Kind() == reflect.Struct && ft.Type.Name() == "rankMask":
+			total += slotBytes(fv, nil)
+		}
+	}
+	return total
+}
+
+// TestArenaSlotBytes pins the resident layout: an arena's per-slot
+// arrays and bitmasks come to at most 26 bytes a slot (25 in the
+// arrays; the old layout took 48), the sparse escape table holds one
+// span per slot whose escaped form differs, and the rendering holds
+// one span per element and no per-slot array. The document gathers
+// the random documents' element trees under one root, for a few
+// hundred slots of every kind.
+func TestArenaSlotBytes(t *testing.T) {
+	doc := NewDocument()
+	root := NewElement("all")
+	doc.SetDocumentElement(root)
+	for seed := int64(1); seed <= 40; seed++ {
+		e := spanDoc(seed).Node.Children[1]
+		e.Parent = nil
+		root.AppendChild(e)
+	}
+	doc.Renumber()
+	ar := doc.BuildArena()
+	n := ar.Len()
+	per := float64(slotBytes(reflect.ValueOf(ar).Elem(), map[string]bool{"bytes": true, "escSpans": true})) / float64(n)
+	t.Logf("%d slots: %.2f bytes per slot in the arrays and bitmasks, %d escaped spans", n, per, len(ar.escSpans))
+	if per > 26 {
+		t.Errorf("%.2f bytes per slot in the arena's arrays, budget 26", per)
+	}
+	escaped, elems := 0, 0
+	for i := int32(0); i < int32(n); i++ {
+		if ar.escaped.has(i) {
+			escaped++
+		}
+		if ar.Kind(i) == ElementNode {
+			elems++
+		}
+	}
+	if escaped == 0 || len(ar.escSpans) != escaped {
+		t.Errorf("%d escaped spans for %d escaped slots", len(ar.escSpans), escaped)
+	}
+	r := ar.rendering()
+	if len(r.spans) != elems || len(r.elems.bits) != (n+63)/64 {
+		t.Errorf("rendering keeps %d spans and %d mask words for %d elements in %d slots",
+			len(r.spans), len(r.elems.bits), elems, n)
+	}
 }

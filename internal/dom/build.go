@@ -21,6 +21,7 @@ type Builder struct {
 	// element's attribute count.
 	attrOf    []int32
 	defaulted []int32
+	escaped   []int32 // slots given an escaped span, in order
 }
 
 // NewBuilder returns a builder holding the open document node, with
@@ -31,30 +32,27 @@ func NewBuilder(nodes int) *Builder {
 		kind:        make([]NodeType, 0, nodes),
 		name:        make([]Sym, 0, nodes),
 		parent:      make([]int32, 0, nodes),
-		firstChild:  make([]int32, 0, nodes),
 		nextSibling: make([]int32, 0, nodes),
-		attrStart:   make([]int32, 0, nodes),
 		attrEnd:     make([]int32, 0, nodes),
 		raw:         make([]span, 0, nodes),
-		esc:         make([]span, 0, nodes),
 		syms:        newSymTab(),
 	}}
-	b.open = append(b.open, struct{ i, last int32 }{b.add(DocumentNode, 0, span{}, span{}), -1})
+	b.open = append(b.open, struct{ i, last int32 }{b.add(DocumentNode, 0, span{}), -1})
 	return b
 }
 
 // add appends one node under the innermost open node and returns its
 // index; a non-attribute node is linked as the parent's last child.
-func (b *Builder) add(k NodeType, name Sym, raw, esc span) int32 {
+// The first child needs no link: it is the slot after the parent's
+// attributes.
+func (b *Builder) add(k NodeType, name Sym, raw span) int32 {
 	a := b.a
 	i, p := int32(len(a.kind)), int32(-1)
 	if n := len(b.open); n > 0 {
 		top := &b.open[n-1]
 		p = top.i
 		if k != AttributeNode {
-			if top.last < 0 {
-				a.firstChild[p] = i
-			} else {
+			if top.last >= 0 {
 				a.nextSibling[top.last] = i
 			}
 			top.last = i
@@ -63,19 +61,29 @@ func (b *Builder) add(k NodeType, name Sym, raw, esc span) int32 {
 	a.kind = append(a.kind, k)
 	a.name = append(a.name, name)
 	a.parent = append(a.parent, p)
-	a.firstChild = append(a.firstChild, -1)
 	a.nextSibling = append(a.nextSibling, -1)
-	a.attrStart = append(a.attrStart, i+1)
 	a.attrEnd = append(a.attrEnd, i+1)
 	a.raw = append(a.raw, raw)
-	a.esc = append(a.esc, esc)
 	return i
+}
+
+// escape records esc as slot i's serialized form and returns its
+// length. When escaping changed nothing the raw span serves and
+// nothing is stored.
+func (b *Builder) escape(i int32, esc string) int {
+	a := b.a
+	if raw := a.raw[i]; int(raw.n) == len(esc) && string(a.bytes[raw.off:raw.off+raw.n]) == esc {
+		return len(esc)
+	}
+	b.escaped = append(b.escaped, i)
+	a.escSpans = append(a.escSpans, a.appendRaw(esc))
+	return len(esc)
 }
 
 // StartElement opens an element named name under the innermost open
 // node.
 func (b *Builder) StartElement(name string) {
-	i := b.add(ElementNode, b.a.syms.intern(name), span{}, span{})
+	i := b.add(ElementNode, b.a.syms.intern(name), span{})
 	b.open = append(b.open, struct{ i, last int32 }{i, -1})
 	b.a.elemAttrs++
 	b.a.sizeHint += 2*len(name) + 5
@@ -101,15 +109,13 @@ func (b *Builder) Attr(name, value string, defaulted bool) {
 		b.attrOf = append(b.attrOf, -1)
 	}
 	b.attrOf[s] = e
-	raw := a.appendRaw(value)
-	esc := a.appendEsc(raw, EscapeAttr(value))
-	i := b.add(AttributeNode, s, raw, esc)
+	i := b.add(AttributeNode, s, a.appendRaw(value))
 	a.attrEnd[e] = i + 1
 	if defaulted {
 		b.defaulted = append(b.defaulted, i)
 	}
 	a.elemAttrs++
-	a.sizeHint += len(name) + 4 + int(esc.n)
+	a.sizeHint += len(name) + 4 + b.escape(i, EscapeAttr(value))
 }
 
 // Leaf adds a text, CDATA, comment or processing-instruction node of
@@ -118,20 +124,22 @@ func (b *Builder) Attr(name, value string, defaulted bool) {
 // either is one copy.
 func (b *Builder) Leaf(k NodeType, target, data string) {
 	a := b.a
-	raw := a.appendRaw(data)
-	esc, name, markup := raw, Sym(0), 0
+	name, size := Sym(0), len(data)
+	if k == ProcessingInstructionNode {
+		name = a.syms.intern(target)
+	}
+	i := b.add(k, name, a.appendRaw(data))
 	switch k {
 	case TextNode:
-		esc = a.appendEsc(raw, EscapeText(data))
+		size = b.escape(i, EscapeText(data))
 	case CDATANode:
-		esc = a.appendRaw(renderCDATA(data))
+		size = b.escape(i, renderCDATA(data))
 	case CommentNode:
-		markup = len("<!---->")
+		size += len("<!---->")
 	case ProcessingInstructionNode:
-		name, markup = a.syms.intern(target), len(target)+len("<? ?>")
+		size += len(target) + len("<? ?>")
 	}
-	b.add(k, name, raw, esc)
-	a.sizeHint += int(esc.n) + markup
+	a.sizeHint += size
 }
 
 // Finish completes the arena and returns it as an arena-only document
@@ -141,9 +149,8 @@ func (b *Builder) Leaf(k NodeType, target, data string) {
 func (b *Builder) Finish(meta *Document) *Document {
 	a := b.a
 	a.kind, a.name = trim(a.kind), trim(a.name)
-	a.parent, a.firstChild, a.nextSibling = trim(a.parent), trim(a.firstChild), trim(a.nextSibling)
-	a.attrStart, a.attrEnd = trim(a.attrStart), trim(a.attrEnd)
-	a.raw, a.esc, a.bytes = trim(a.raw), trim(a.esc), trim(a.bytes)
+	a.parent, a.nextSibling, a.attrEnd = trim(a.parent), trim(a.nextSibling), trim(a.attrEnd)
+	a.raw, a.escSpans, a.bytes = trim(a.raw), trim(a.escSpans), trim(a.bytes)
 	a.syms.names = trim(a.syms.names)
 	n := len(a.kind)
 	a.elemAttr, a.defaulted = NewBitmask(n), NewBitmask(n)
@@ -154,6 +161,13 @@ func (b *Builder) Finish(meta *Document) *Document {
 	}
 	for _, i := range b.defaulted {
 		a.defaulted.Set(int(i))
+	}
+	if len(b.escaped) > 0 {
+		escaped := NewBitmask(n)
+		for _, i := range b.escaped {
+			escaped.Set(int(i))
+		}
+		a.escaped = newRankMask(escaped)
 	}
 	a.version, a.encoding, a.standalone = meta.Version, meta.Encoding, meta.Standalone
 	if meta.DocType != nil {

@@ -132,3 +132,35 @@ func (m Bitmask) Visible(n *Node) bool {
 func (m Bitmask) VisibleIdx(i int32) bool {
 	return m == nil || m.Get(int(i))
 }
+
+// rankMask is a fixed set of indexes that also answers rank queries —
+// how many members lie below an index — with one lookup and one
+// popcount. It maps a sparse subset of an arena's slots onto a dense
+// array holding data for the members only: member i's entry is at
+// rank(i). It costs 12 bytes per 64 slots, and the zero value is the
+// empty set.
+type rankMask struct {
+	bits   Bitmask
+	before []int32 // members in the words before each word
+}
+
+// newRankMask indexes the members of bits for rank queries.
+func newRankMask(set Bitmask) rankMask {
+	before := make([]int32, len(set))
+	n := 0
+	for w, x := range set {
+		before[w] = int32(n)
+		n += bits.OnesCount64(x)
+	}
+	return rankMask{bits: set, before: before}
+}
+
+// has reports whether i is a member.
+func (r rankMask) has(i int32) bool { return r.bits.Get(int(i)) }
+
+// rank returns the number of members below index i, which must be
+// within the set's range.
+func (r rankMask) rank(i int32) int32 {
+	w := i >> 6
+	return r.before[w] + int32(bits.OnesCount64(r.bits[w]&(1<<(uint(i)&63)-1)))
+}

@@ -2,8 +2,9 @@ package dom
 
 import "fmt"
 
-// NodeType discriminates the kinds of nodes a Document may contain.
-type NodeType int
+// NodeType discriminates the kinds of nodes a Document may contain. It
+// is one byte, the size of the arena's per-slot kind.
+type NodeType uint8
 
 // Node types, mirroring the DOM Level 1 node taxonomy restricted to the
 // logical structure the paper considers (entities and notations are

@@ -38,6 +38,11 @@ type StoredDoc struct {
 	Doc *dom.Document
 	// DTD is the parsed document type definition, or nil.
 	DTD *dtd.DTD
+
+	// dtdSource is the text of the external DTD the document was parsed
+	// and validated against (DTDURI's registration at the time).
+	// Recovery keeps the document only while that text is unchanged.
+	dtdSource string
 }
 
 // DocStore is the site's registry of protected resources: XML documents
@@ -144,6 +149,7 @@ func prepareDocument(ctx context.Context, loader xmlparse.MapLoader, uri, source
 	sd := &StoredDoc{URI: uri, Source: source}
 	if res.Doc.DocType != nil && res.Doc.DocType.SystemID != "" {
 		sd.DTDURI = res.Doc.DocType.SystemID
+		sd.dtdSource = loader[sd.DTDURI]
 	}
 	if res.DTD != nil {
 		sd.DTD = res.DTD
@@ -291,15 +297,45 @@ func (s *DocStore) DTDURIs() []string {
 	return out
 }
 
-// Reset drops every registered document and DTD (recovery replaces the
-// store's content with a snapshot's). The generation still advances,
-// so caches keyed on it cannot serve pre-reset state.
-func (s *DocStore) Reset() {
+// restore replaces the store's content with a snapshot's DTD and
+// document sources (recovery, before the site serves). What is already
+// loaded is kept where the snapshot cannot differ from it: a DTD whose
+// source text is byte-identical keeps its parsed form, and so does a
+// document whose source and whose DTD's text are both byte-identical
+// to those it was parsed and validated against. Everything else is
+// parsed and validated again. After a restart on a data directory that
+// matches the site directory, nothing is parsed twice. The generation
+// advances, so caches keyed on it cannot serve pre-restore state.
+func (s *DocStore) restore(dtds, docs map[string]string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	oldDocs, oldDTDs, oldSrcs := s.docs, s.dtds, s.srcs
 	s.docs = make(map[string]*StoredDoc)
 	s.dtds = make(map[string]*dtd.DTD)
 	s.srcs = make(map[string]string)
 	s.loose = make(map[string]*dtd.DTD)
 	s.gen++
+	s.mu.Unlock()
+	for _, uri := range sortedKeys(dtds) {
+		src := dtds[uri]
+		if d, ok := oldDTDs[uri]; ok && oldSrcs[uri] == src {
+			s.commitDTD(uri, src, d)
+			continue
+		}
+		if err := s.AddDTD(uri, src); err != nil {
+			return err
+		}
+	}
+	var uris, srcs []string
+	for _, uri := range sortedKeys(docs) {
+		src := docs[uri]
+		if sd := oldDocs[uri]; sd != nil && sd.Source == src {
+			if dtdSrc, ok := dtds[sd.DTDURI]; sd.DTDURI == "" || ok && dtdSrc == sd.dtdSource {
+				s.commitDocument(sd)
+				continue
+			}
+		}
+		uris, srcs = append(uris, uri), append(srcs, src)
+	}
+	_, err := s.addDocuments(uris, srcs)
+	return err
 }

@@ -501,22 +501,11 @@ func (s *Site) restoreSnapshot(payload []byte) error {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return err
 	}
-	s.Docs.Reset()
-	s.Auths.Reset()
-	s.Engine.ClearPolicies()
-	for _, uri := range sortedKeys(st.DTDs) {
-		if err := s.Docs.AddDTD(uri, st.DTDs[uri]); err != nil {
-			return err
-		}
-	}
-	uris := sortedKeys(st.Docs)
-	srcs := make([]string, len(uris))
-	for i, uri := range uris {
-		srcs[i] = st.Docs[uri]
-	}
-	if _, err := s.Docs.addDocuments(uris, srcs); err != nil {
+	if err := s.Docs.restore(st.DTDs, st.Docs); err != nil {
 		return err
 	}
+	s.Auths.Reset()
+	s.Engine.ClearPolicies()
 	for _, src := range st.XACLs {
 		x, err := authz.ParseXACL(src)
 		if err != nil {

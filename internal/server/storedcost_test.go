@@ -3,12 +3,14 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
 	"xmlsec/internal/authz"
+	"xmlsec/internal/dom"
 	"xmlsec/internal/subjects"
 )
 
@@ -60,22 +62,20 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestStoredDocumentLiveHeap pins what one stored document keeps alive:
-// its source text and its arena, not the parser's tree. Measured by
-// this test (Go 1.24, linux/amd64), a benchmark-shaped document held
-// 512 KB while the store kept the tree next to the arena and holds
-// 160 KB arena-only: the tree is 352 KB of it. The budget sits between
-// the two, so it fails any registration path that keeps the tree.
-func TestStoredDocumentLiveHeap(t *testing.T) {
-	const n = 16
-	const budget = 256 << 10
-	uris := make([]string, n)
-	sources := make([]string, n)
+// benchSources returns n benchmark-shaped documents and their URIs.
+func benchSources(n int) (uris, sources []string) {
+	uris = make([]string, n)
+	sources = make([]string, n)
 	for i := range uris {
 		uris[i] = fmt.Sprintf("d%02d.xml", i)
 		sources[i] = benchShapeDoc(int64(i))
 	}
-	before := liveHeap()
+	return uris, sources
+}
+
+// storeDocs registers documents in a fresh store.
+func storeDocs(t *testing.T, uris, sources []string) *DocStore {
+	t.Helper()
 	store := NewDocStore()
 	if err := store.AddDTD("bench.dtd", benchShapeDTD); err != nil {
 		t.Fatal(err)
@@ -83,13 +83,61 @@ func TestStoredDocumentLiveHeap(t *testing.T) {
 	if i, err := store.addDocuments(uris, sources); err != nil {
 		t.Fatalf("document %d: %v", i, err)
 	}
+	return store
+}
+
+// TestStoredDocumentLiveHeap pins what one stored document keeps alive:
+// its arena and parsed DTD, not the parser's tree (the source text is
+// the caller's and not counted). Measured by this test (Go 1.24,
+// linux/amd64), a benchmark-shaped document held 512 KB while the
+// store kept the tree next to the arena, 159 KB arena-only with
+// 48-byte arena slots, and 90 KB with 25-byte slots (docs/ARENA.md).
+// The budget fails a store that keeps the tree, or the old slot layout.
+func TestStoredDocumentLiveHeap(t *testing.T) {
+	const n = 16
+	const budget = 100 << 10
+	uris, sources := benchSources(n)
+	before := liveHeap()
+	store := storeDocs(t, uris, sources)
 	after := liveHeap()
 	runtime.KeepAlive(store)
 	runtime.KeepAlive(sources)
 	per := (int64(after) - int64(before)) / n
 	t.Logf("live heap per stored document: %d KB", per>>10)
 	if per > budget {
-		t.Errorf("each stored document keeps %d KB live, over the %d KB budget: is a pointer tree stored next to the arena?", per>>10, budget>>10)
+		t.Errorf("each stored document keeps %d KB live, over the %d KB budget: is a pointer tree stored next to the arena, or are the arena's slots wider than 25 bytes?", per>>10, budget>>10)
+	}
+}
+
+// TestRenderedDocumentLiveHeap pins what a stored document keeps alive
+// once a view of it has been served: the arena plus its rendering, one
+// serialized copy of the document and a span per element. Measured by
+// this test (Go 1.24, linux/amd64), a benchmark-shaped document held
+// 223 KB with 48-byte arena slots and a start/end pair for every slot,
+// and 137 KB with 25-byte slots and spans for element slots only.
+func TestRenderedDocumentLiveHeap(t *testing.T) {
+	const n = 16
+	const budget = 144 << 10
+	uris, sources := benchSources(n)
+	before := liveHeap()
+	store := storeDocs(t, uris, sources)
+	for _, uri := range store.URIs() {
+		doc := store.Doc(uri).Doc
+		// Hide the last node: a masked write renders the document and
+		// copies its fully visible subtrees out of the rendering.
+		mask := dom.NewBitmask(doc.NodeCount())
+		mask.SetRange(0, doc.NodeCount()-1)
+		if err := doc.Write(io.Discard, dom.WriteOptions{Indent: dom.ServeIndent, Mask: mask}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(store)
+	runtime.KeepAlive(sources)
+	per := (int64(after) - int64(before)) / n
+	t.Logf("live heap per rendered document: %d KB", per>>10)
+	if per > budget {
+		t.Errorf("each rendered document keeps %d KB live, over the %d KB budget: does the rendering keep spans for every slot?", per>>10, budget>>10)
 	}
 }
 

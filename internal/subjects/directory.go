@@ -2,6 +2,7 @@ package subjects
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -14,7 +15,11 @@ import (
 // "Public", as in the paper's examples); every user — including ones the
 // directory has never seen, such as "anonymous" — is implicitly a member.
 type Directory struct {
-	users  map[string]*userEntry
+	// users maps each user to its direct groups. A user belongs to one
+	// or two groups in the common case, so a flat slice holding each
+	// group's own name string is the whole record: a site of 10,000
+	// users keeps no map per user.
+	users  map[string][]string
 	groups map[string]*groupEntry
 
 	// PublicGroup is the name of the group every requester belongs to;
@@ -38,11 +43,6 @@ type groupClosure struct {
 	up  map[string]map[string]bool
 }
 
-type userEntry struct {
-	name   string
-	groups map[string]bool // direct memberships
-}
-
 type groupEntry struct {
 	name    string
 	parents map[string]bool // groups this group is a direct member of
@@ -51,7 +51,7 @@ type groupEntry struct {
 // NewDirectory returns an empty directory with PublicGroup = "Public".
 func NewDirectory() *Directory {
 	return &Directory{
-		users:       make(map[string]*userEntry),
+		users:       make(map[string][]string),
 		groups:      make(map[string]*groupEntry),
 		PublicGroup: "Public",
 	}
@@ -161,17 +161,18 @@ func (d *Directory) AddUser(name string, groups ...string) error {
 			return fmt.Errorf("subjects: %q is already a user", g)
 		}
 	}
-	u := d.users[name]
-	if u == nil {
-		u = &userEntry{name: name, groups: make(map[string]bool)}
-		d.users[name] = u
-	}
+	direct := slices.Grow(d.users[name], len(groups))
 	for _, g := range groups {
-		if d.groups[g] == nil {
-			d.groups[g] = &groupEntry{name: g, parents: make(map[string]bool)}
+		e := d.groups[g]
+		if e == nil {
+			e = &groupEntry{name: g, parents: make(map[string]bool)}
+			d.groups[g] = e
 		}
-		u.groups[g] = true
+		if !slices.Contains(direct, g) {
+			direct = append(direct, e.name)
+		}
 	}
+	d.users[name] = slices.Clip(direct)
 	d.gen.Add(1)
 	return nil
 }
@@ -220,27 +221,22 @@ func (d *Directory) MemberOf(member, container string) bool {
 	if d.PublicGroup != "" && container == d.PublicGroup {
 		return true
 	}
-	var direct map[string]bool
-	if u := d.users[member]; u != nil {
-		direct = u.groups
-	} else if g := d.groups[member]; g != nil {
-		direct = g.parents
-	} else {
+	// Either container is a direct group, or some direct group is,
+	// transitively, a member of it. The closure answers the nested case
+	// without allocating; the engine asks once per authorization on
+	// every view miss.
+	up := d.groupClosure().up
+	if direct, ok := d.users[member]; ok {
+		for _, g := range direct {
+			if g == container || up[g][container] {
+				return true
+			}
+		}
 		return false
 	}
-	if direct[container] {
-		return true
-	}
-	// A nested membership: some direct group is, transitively, a member
-	// of container. The closure answers without allocating; the engine
-	// asks once per authorization on every view miss.
-	up := d.groupClosure().up
-	for g := range direct {
-		if up[g][container] {
-			return true
-		}
-	}
-	return false
+	// A group's closure holds every group above it, its direct parents
+	// included; an unknown identifier has none.
+	return up[member][container]
 }
 
 // groupClosure returns the transitive group memberships of the current
@@ -282,17 +278,18 @@ func (d *Directory) groupClosure() *groupClosure {
 // DirectGroups returns the direct memberships of a user or group,
 // sorted; nil if the identifier is unknown.
 func (d *Directory) DirectGroups(name string) []string {
-	var m map[string]bool
-	if u := d.users[name]; u != nil {
-		m = u.groups
-	} else if g := d.groups[name]; g != nil {
-		m = g.parents
-	} else {
+	if direct, ok := d.users[name]; ok {
+		out := append([]string{}, direct...)
+		sort.Strings(out)
+		return out
+	}
+	g := d.groups[name]
+	if g == nil {
 		return nil
 	}
-	out := make([]string, 0, len(m))
-	for g := range m {
-		out = append(out, g)
+	out := make([]string, 0, len(g.parents))
+	for p := range g.parents {
+		out = append(out, p)
 	}
 	sort.Strings(out)
 	return out

@@ -63,10 +63,8 @@ func memberOfBySearch(d *Directory, member, container string) bool {
 		return true
 	}
 	var stack []string
-	if u := d.users[member]; u != nil {
-		for g := range u.groups {
-			stack = append(stack, g)
-		}
+	if direct, ok := d.users[member]; ok {
+		stack = append(stack, direct...)
 	} else if g := d.groups[member]; g != nil {
 		for p := range g.parents {
 			stack = append(stack, p)

@@ -207,6 +207,12 @@ func FuzzArenaParity(f *testing.F) {
 		`<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a ANY><!ATTLIST a x CDATA "dflt">]><a><a x="set"/></a>`,
 		`<a>x]]&gt;y&amp;&lt;</a>`,
 		strings.Repeat("<a>", 40) + strings.Repeat("</a>", 40),
+		// Escaped forms that differ from the raw data (the arena's
+		// sparse escape table) next to verbatim comments and PIs, in
+		// subtrees the policy may show whole or in part.
+		`<r><a x="&amp;&lt;&quot;'&#9;&#10;">t &amp; &lt; "q" &gt;<b y="1&amp;2">&amp;</b></a><c>plain<d z="p"/></c></r>`,
+		`<r><![CDATA[a]]]]><![CDATA[>b & <c>]]><!-- & < " --><?p & < "?><e><![CDATA[]]></e></r>`,
+		`<!--pro & log--><?top x & y?><r a="&quot;&quot;">"&amp;"<s><t u="&lt;">&lt;&gt;</t></s></r>`,
 	}
 	for i, s := range seeds {
 		f.Add(s, uint16(i*37))

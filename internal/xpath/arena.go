@@ -3,11 +3,11 @@ package xpath
 // Arena-native evaluation: the whole language the compiler accepts,
 // evaluated directly over dom.Arena, the struct-of-arrays document
 // layout. The context node is a dense preorder index; axis sweeps follow
-// the arena's int32 parent/firstChild/nextSibling links (descendant and
+// the arena's parent, first-child and next-sibling links (descendant and
 // following axes are contiguous range scans, since a preorder subtree is
 // an index interval); name tests compare interned symbols resolved once
 // per (Path, Arena); attribute lookups are bounded loops over the
-// element's [attrStart, attrEnd) range; and node-sets are sorted []int32
+// element's attribute range (Arena.Attrs); and node-sets are sorted []int32
 // index sets end to end — no *dom.Node is ever touched.
 //
 // An evaluation may carry a visibility mask (a requester's view, see
