@@ -68,9 +68,8 @@ func main() {
 	auditMaxBytes := flag.Int64("audit-max-bytes", 0, "rotate the audit file past this size (0 = never rotate)")
 	auditKeep := flag.Int("audit-keep", 3, "rotated audit files to keep (with -audit-max-bytes)")
 	traceOn := flag.Bool("trace", false, "record request traces, served at /debug/traces")
-	traceBuffer := flag.Int("trace-buffer", 64, "completed traces kept in each of the recent and slow rings")
+	traceBuffer := flag.Int("trace-buffer", 64, "completed traces kept in the recent ring (slow sampled requests keep theirs on the /debug/slowz board)")
 	traceSample := flag.Int("trace-sample", 0, fmt.Sprintf("trace every Nth request (0 = default 1-in-%d; 1 = every request)", trace.DefaultSampleEvery))
-	traceSlow := flag.Duration("trace-slow", 0, "slow-capture threshold (0 = default 250ms; negative disables)")
 	slowLog := flag.Duration("slowlog", 250*time.Millisecond, "capture requests at/above this duration with their cost cards at /debug/slowz (0 = capture everything; negative disables)")
 	slowLogMax := flag.Int("slowlog-max", 64, "worst requests kept on the /debug/slowz board")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
@@ -123,11 +122,7 @@ func main() {
 		site.EnableSlowLog(*slowLog, *slowLogMax)
 	}
 	if *traceOn {
-		site.EnableTracing(trace.Options{
-			Capacity:      *traceBuffer,
-			SampleEvery:   *traceSample,
-			SlowThreshold: *traceSlow,
-		})
+		site.EnableTracing(trace.Options{Capacity: *traceBuffer, SampleEvery: *traceSample})
 	}
 	if *auditPath != "" {
 		w, err := site.SetAuditFile(*auditPath, *auditMaxBytes, *auditKeep)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"runtime"
 	"slices"
 	"time"
@@ -13,17 +14,18 @@ import (
 	"xmlsec/internal/trace"
 )
 
-// E17 — the per-request cost-accounting overhead. The cost card's
-// contract: carrying it costs no allocations beyond the seed serve
-// path (the card comes from a pool and rides in the same context value
-// the request ID already occupied) and ≤2% added latency. Both
+// E17 — the per-request cost-accounting overhead. The contract of the
+// request record (trace.Record), which carries the cost card: carrying
+// it costs no allocations beyond the seed serve path (the record comes
+// from a pool and is its own context node) and ≤2% added latency. Both
 // scenarios that matter are measured: the uncached serve path (every
 // read stage runs, so every counter and stage timer in the card is
 // exercised) and the cached serve path (the microsecond-scale hot path
 // where a fixed overhead would weigh the most). The baseline is what
 // the seed middleware did per request — thread a request ID through
-// the context — so the measured delta is exactly what cost accounting
-// adds.
+// the context and read the clock at the start and the end of the
+// request — so the measured delta is exactly what cost accounting
+// adds: the record owns the request's ID and clock readings too.
 
 // obsBenchResult is one measured scenario+mode, and the record format
 // of BENCH_obs.json.
@@ -35,6 +37,15 @@ type obsBenchResult struct {
 	AllocsOp    int64   `json:"allocs_op"`
 	OverheadPct float64 `json:"overhead_pct"` // median paired-batch delta vs the scenario's no-card row
 }
+
+// benchIDKey and benchID are the no-card mode's request-ID context
+// value; benchElapsed keeps its request timing observable.
+type benchIDKey struct{}
+
+var (
+	benchID      = "bench"
+	benchElapsed time.Duration
+)
 
 func expObs() error {
 	type prepared struct {
@@ -65,25 +76,27 @@ func expObs() error {
 	}
 
 	// request is the middleware's per-request work, minus the HTTP
-	// stack: the no-card mode threads the request ID the way the seed
-	// did; the card mode additionally checks a card out of the pool,
-	// folds it into the same context value, feeds the stage histograms
-	// from it at completion, and returns it — the full accounting cycle
-	// a production request pays, stage timing included.
+	// stack: the no-card mode threads the request ID through a context
+	// value and times the request the way the seed did; the card mode
+	// begins a pooled request record instead, which every counter and
+	// stage timer writes to, ends it, feeds the stage histograms from
+	// its card and releases it — the full accounting cycle a production
+	// request pays, stage timing included.
 	stages := obs.NewStageHistograms(obs.NewRegistry().NewHistogramVec(
 		"stage_seconds", "Stage time.", obs.DefStageBuckets, "stage"))
 	request := func(p *prepared) error {
-		ctx := context.Background()
 		if p.card {
-			c := obs.GetCostCard()
-			ctx = trace.WithRequest(ctx, "bench", c)
+			ctx, rc := trace.Begin(context.Background(), nil, benchID, http.MethodGet, "/docs/")
 			_, err := p.site.ProcessContext(ctx, labexample.Tom, labexample.DocURI)
-			stages.Observe(c)
-			obs.PutCostCard(c)
+			rc.End(http.StatusOK)
+			stages.Observe(&rc.Cost)
+			rc.Release()
 			return err
 		}
-		ctx = trace.WithRequestID(ctx, "bench")
+		start := time.Now()
+		ctx := context.WithValue(context.Background(), benchIDKey{}, benchID)
 		_, err := p.site.ProcessContext(ctx, labexample.Tom, labexample.DocURI)
+		benchElapsed = time.Since(start)
 		return err
 	}
 
@@ -98,7 +111,7 @@ func expObs() error {
 	if quick {
 		rounds = 20
 	}
-	for _, p := range runs { // warm caches, indexes, and the card pool
+	for _, p := range runs { // warm caches, indexes, and the record pool
 		if err := request(p); err != nil {
 			return err
 		}
@@ -160,10 +173,11 @@ func expObs() error {
 		fmt.Printf("%-10s %-9s %-12.0f %-12d %-12d %-10s\n",
 			r.Scenario, r.Mode, r.NsPerOp, r.BytesOp, r.AllocsOp, overhead)
 	}
-	fmt.Println("(no-card = the seed serve path, request ID threaded through the context;")
-	fmt.Println(" card = pooled cost card folded into the same context value, every counter")
-	fmt.Println(" and stage timer live, stage histograms fed at completion; uncached = label,")
-	fmt.Println(" prune and unparse on every request, cached = class-keyed view-cache hit)")
+	fmt.Println("(no-card = the seed serve path, request ID threaded through the context and")
+	fmt.Println(" the request timed; card = pooled request record carrying ID, times and card,")
+	fmt.Println(" every counter and stage timer live, stage histograms fed at completion;")
+	fmt.Println(" uncached = label, prune and unparse on every request, cached = class-keyed")
+	fmt.Println(" view-cache hit)")
 
 	return writeJSON(results)
 }

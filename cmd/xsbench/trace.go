@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"time"
 
 	"xmlsec/internal/labexample"
@@ -18,9 +19,9 @@ import (
 // why the default samples: a full span tree costs a few microseconds,
 // which is a double-digit fraction of this processor's microsecond-
 // scale cycles. The experiment emulates what the HTTP middleware does
-// per request — start a trace, thread its root span through
-// ProcessContext, finish — so the measured delta is exactly what a
-// deployment turns on.
+// per request — begin a request record (which samples the trace), run
+// ProcessContext under it, end and release it — so the measured delta
+// is exactly what a deployment turns on.
 
 // traceBenchResult is one measured mode, and the record format of
 // BENCH_trace.json.
@@ -61,11 +62,7 @@ func expTrace() error {
 		}
 		p := &prepared{mode: m, site: site}
 		if m.sampleEvery > 0 {
-			site.EnableTracing(trace.Options{
-				Capacity:      64,
-				SampleEvery:   m.sampleEvery,
-				SlowThreshold: -1, // isolate span cost from slow capture
-			})
+			site.EnableTracing(trace.Options{Capacity: 64, SampleEvery: m.sampleEvery})
 			p.rec = site.TraceRecorder()
 		}
 		runs = append(runs, p)
@@ -73,13 +70,10 @@ func expTrace() error {
 
 	// request is the middleware's per-request work, minus the HTTP stack.
 	request := func(p *prepared) error {
-		ctx := context.Background()
-		tr := p.rec.Start("GET /docs/")
-		if tr != nil {
-			ctx = trace.NewContext(ctx, tr.Root())
-		}
+		ctx, rc := trace.Begin(context.Background(), p.rec, "", http.MethodGet, "/docs/")
 		_, err := p.site.ProcessContext(ctx, labexample.Tom, labexample.DocURI)
-		tr.Finish()
+		rc.End(http.StatusOK)
+		rc.Release()
 		return err
 	}
 

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"sync"
-)
+import "encoding/json"
 
 // Stage names one timed stage of a request: the paper's §7 cycle plus
 // the write path's merge, update application and log append. The cost
@@ -68,8 +65,8 @@ func (t *StageTimes) UnmarshalJSON(b []byte) error {
 // cycle took — so a single outlier request is explainable after the
 // fact.
 //
-// A card belongs to exactly one request: it travels in the request's
-// context (see trace.WithRequest / trace.CostFromContext) and is
+// A card belongs to exactly one request: it is part of the request's
+// record (trace.Record, reached through trace.CostFromContext) and is
 // written only by the goroutine serving that request, so increments
 // are plain adds, not atomics. Subsystems that do work on behalf of
 // several requests at once (the auth-index singleflight, the view
@@ -77,8 +74,8 @@ func (t *StageTimes) UnmarshalJSON(b []byte) error {
 // actually performed the work; coalesced followers record only that
 // they coalesced. The access decision copies the card into the audit
 // record; after the response is written the card is immutable: the
-// middleware feeds the stage histograms from it, copies it into the
-// trace snapshot and the slow-request log, then returns it to the pool.
+// middleware feeds the stage histograms from it, and the trace and the
+// slow-request board copy it, before the record returns to its pool.
 //
 // All fields are int64 (or a fixed array of them) so a card is a flat,
 // copyable value with a stable JSON shape (/debug/slowz, audit records,
@@ -176,28 +173,5 @@ func (h *StageHistograms) Observe(c *CostCard) {
 		if ns != 0 {
 			h[st].Observe(float64(ns) / 1e9)
 		}
-	}
-}
-
-// Reset zeroes the card for reuse.
-func (c *CostCard) Reset() { *c = CostCard{Class: -1} }
-
-// costPool recycles cards so per-request cost accounting allocates
-// nothing in steady state.
-var costPool = sync.Pool{New: func() any { return &CostCard{Class: -1} }}
-
-// GetCostCard returns a zeroed card from the pool.
-func GetCostCard() *CostCard {
-	c := costPool.Get().(*CostCard)
-	c.Reset()
-	return c
-}
-
-// PutCostCard returns a card to the pool. The caller must not retain
-// the pointer; consumers that outlive the request (rings, traces,
-// audit records) copy the card by value instead.
-func PutCostCard(c *CostCard) {
-	if c != nil {
-		costPool.Put(c)
 	}
 }

@@ -79,7 +79,6 @@ type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
 	sum    atomicFloat
-	count  atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -92,7 +91,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // ObserveSince records the seconds elapsed since t0.
@@ -112,9 +110,8 @@ func (h *Histogram) snapshot() *HistogramSnapshot {
 		}
 		s.Buckets = append(s.Buckets, Bucket{LE: le, Bound: bound, Count: cum})
 	}
-	// Load sum/count after the buckets: under concurrent observation
-	// the snapshot stays internally plausible (count ≥ bucket total is
-	// never reported).
+	// The count is the bucket total, so it always agrees with the
+	// buckets; the sum is loaded after them.
 	s.Sum = h.sum.Load()
 	s.Count = cum
 	return s

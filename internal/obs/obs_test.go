@@ -210,8 +210,7 @@ func TestConcurrent(t *testing.T) {
 // round-trips, and the histogram feed observes each stage the card ran
 // exactly once.
 func TestCardStages(t *testing.T) {
-	c := GetCostCard()
-	defer PutCostCard(c)
+	c := &CostCard{Class: -1}
 	b, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func (e *ScriptError) Is(target error) bool {
 // resolved target indexes and pre/post content hashes — not the
 // document — and replay re-applies it deterministically.
 func (s *Site) ApplyUpdate(ctx context.Context, rq subjects.Requester, uri, scriptSrc string) (err error) {
-	defer func() { s.auditUpdate(ctx, rq, uri, err) }()
+	defer func() { s.auditOp(ctx, "update", rq, uri, nil, err) }()
 	script, err := update.ParseScript(scriptSrc)
 	if err != nil {
 		return fmt.Errorf("server: update of %q: %w", uri, err)

@@ -14,7 +14,6 @@ import (
 	"xmlsec/internal/authz"
 	"xmlsec/internal/core"
 	"xmlsec/internal/labexample"
-	"xmlsec/internal/obs"
 	"xmlsec/internal/subjects"
 	"xmlsec/internal/trace"
 	"xmlsec/internal/update"
@@ -38,9 +37,9 @@ func openUpdateSite(t testing.TB, cfg workload.DocConfig, uri string) *Site {
 func TestApplyUpdateCommits(t *testing.T) {
 	site, sam := writerSite(t)
 	gen0 := site.Docs.Generation()
-	card := obs.GetCostCard()
-	defer obs.PutCostCard(card)
-	ctx := trace.WithRequest(context.Background(), "test", card)
+	ctx, rc := trace.Begin(context.Background(), nil, "test", http.MethodPost, "/docs/*/update")
+	defer rc.Release()
+	card := &rc.Cost
 	if err := site.ApplyUpdate(ctx, sam, labexample.DocURI, "replace-text //title Updated Title"); err != nil {
 		t.Fatal(err)
 	}

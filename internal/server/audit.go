@@ -37,14 +37,15 @@ type AuditRecord struct {
 	// Decision is "ok", "not-found", "forbidden", "conflict", or
 	// "error".
 	Decision string `json:"decision"`
-	// Kept and Nodes report the view size for successful reads.
+	// Kept and Nodes report the view size for successful reads and
+	// queries.
 	Kept  int `json:"kept,omitempty"`
 	Nodes int `json:"nodes,omitempty"`
 	// Detail carries the denial reason or error summary, if any.
 	Detail string `json:"detail,omitempty"`
 	// Cost is the request's itemized work receipt (see obs.CostCard),
-	// copied from the request context when the HTTP layer attached one.
-	// Nil for direct API use without cost accounting.
+	// copied from the request's record at the decision. Nil for direct
+	// API use, which carries no record.
 	Cost *obs.CostCard `json:"cost,omitempty"`
 }
 
@@ -90,95 +91,40 @@ func (a *auditor) log(rec AuditRecord) {
 	_, _ = a.w.Write(append(b, '\n'))
 }
 
-// costSnapshot copies the request's cost card out of the context. The
-// copy matters: the live card returns to a pool when the HTTP request
-// finishes, while the audit record may be read long after.
-func costSnapshot(ctx context.Context) *obs.CostCard {
-	card := trace.CostFromContext(ctx)
-	if card == nil {
-		return nil
-	}
-	cc := *card
-	return &cc
-}
-
-// auditRead records the outcome of a Process or QueryDoc call.
-func (s *Site) auditRead(ctx context.Context, rq subjects.Requester, uri string, res *ProcessResult, err error) {
+// auditOp writes the audit record of one access decision — op is
+// "read", "query", "write" or "update". The request ID and a copy of
+// the cost card come from the request record ctx carries (neither is
+// set for direct API use); a successful read or query also reports its
+// view's size from res. One ladder maps err to the decision for every
+// op. Conflicts get their own decision: a script that no longer fits
+// the document is an ordinary coordination event, not an authorization
+// one, and filtering the trail for "forbidden" must not drown in them.
+func (s *Site) auditOp(ctx context.Context, op string, rq subjects.Requester, uri string, res *ProcessResult, err error) {
 	if s.audit == nil {
 		return
 	}
-	rec := AuditRecord{
-		RequestID: trace.RequestID(ctx),
-		Op:        "read", User: rq.User, IP: rq.IP, Host: rq.Host, URI: uri,
-		Cost: costSnapshot(ctx),
+	rec := AuditRecord{Op: op, User: rq.User, IP: rq.IP, Host: rq.Host, URI: uri}
+	if rc := trace.RecordFromContext(ctx); rc != nil {
+		// A copy: the record returns to its pool when the request ends.
+		cost := rc.Cost
+		rec.RequestID, rec.Cost = rc.ID, &cost
 	}
 	switch {
 	case err == nil:
 		rec.Decision = "ok"
 		if res != nil {
-			rec.Kept = res.View.Stats.Kept
-			rec.Nodes = res.View.Stats.Nodes
+			rec.Kept, rec.Nodes = res.View.Stats.Kept, res.View.Stats.Nodes
 		}
 	case isNotFound(err):
 		rec.Decision = "not-found"
-	default:
-		rec.Decision = "error"
-		rec.Detail = err.Error()
-	}
-	s.audit.log(rec)
-}
-
-// auditWrite records the outcome of an Update call.
-func (s *Site) auditWrite(ctx context.Context, rq subjects.Requester, uri string, err error) {
-	if s.audit == nil {
-		return
-	}
-	rec := AuditRecord{
-		RequestID: trace.RequestID(ctx),
-		Op:        "write", User: rq.User, IP: rq.IP, Host: rq.Host, URI: uri,
-		Cost: costSnapshot(ctx),
-	}
-	switch {
-	case err == nil:
-		rec.Decision = "ok"
-	case isNotFound(err):
-		rec.Decision = "not-found"
 	case isForbidden(err):
 		rec.Decision = "forbidden"
-		rec.Detail = err.Error()
-	default:
-		rec.Decision = "error"
-		rec.Detail = err.Error()
-	}
-	s.audit.log(rec)
-}
-
-// auditUpdate records the outcome of an ApplyUpdate call. Conflicts get
-// their own decision: a script that no longer fits the document is an
-// ordinary coordination event, not an authorization one, and filtering
-// the trail for "forbidden" must not drown in them.
-func (s *Site) auditUpdate(ctx context.Context, rq subjects.Requester, uri string, err error) {
-	if s.audit == nil {
-		return
-	}
-	rec := AuditRecord{
-		RequestID: trace.RequestID(ctx),
-		Op:        "update", User: rq.User, IP: rq.IP, Host: rq.Host, URI: uri,
-		Cost: costSnapshot(ctx),
-	}
-	switch {
-	case err == nil:
-		rec.Decision = "ok"
-	case isNotFound(err):
-		rec.Decision = "not-found"
-	case isForbidden(err):
-		rec.Decision = "forbidden"
-		rec.Detail = err.Error()
 	case isConflict(err):
 		rec.Decision = "conflict"
-		rec.Detail = err.Error()
 	default:
 		rec.Decision = "error"
+	}
+	if rec.Decision != "ok" && rec.Decision != "not-found" {
 		rec.Detail = err.Error()
 	}
 	s.audit.log(rec)

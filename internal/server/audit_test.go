@@ -42,10 +42,14 @@ func TestAuditTrail(t *testing.T) {
 		`<!DOCTYPE laboratory SYSTEM "laboratory.xml"><laboratory name="X"><project name="p" type="public"><manager><flname>f</flname></manager></project></laboratory>`); err == nil {
 		t.Fatal("expected forbidden")
 	}
+	// A query, audited under its own op.
+	if _, err := site.QueryDoc(labexample.Tom, labexample.DocURI, "//title"); err != nil {
+		t.Fatal(err)
+	}
 
 	recs := decodeAudit(t, buf.String())
-	if len(recs) != 3 {
-		t.Fatalf("audit records = %d, want 3:\n%s", len(recs), buf.String())
+	if len(recs) != 4 {
+		t.Fatalf("audit records = %d, want 4:\n%s", len(recs), buf.String())
 	}
 	r0 := recs[0]
 	if r0.Op != "read" || r0.Decision != "ok" || r0.User != "Tom" || r0.URI != labexample.DocURI {
@@ -60,6 +64,10 @@ func TestAuditTrail(t *testing.T) {
 	r2 := recs[2]
 	if r2.Op != "write" || r2.Decision != "forbidden" || r2.Detail == "" {
 		t.Errorf("write record wrong: %+v", r2)
+	}
+	r3 := recs[3]
+	if r3.Op != "query" || r3.Decision != "ok" || r3.User != "Tom" || r3.Kept != r0.Kept || r3.Nodes != r0.Nodes {
+		t.Errorf("query record wrong: %+v", r3)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 // EnableTracing installs a per-request trace recorder (see
 // internal/trace): each sampled request's execution cycle is recorded
 // as a span tree, kept in a bounded ring served at GET /debug/traces.
-// Returns the site for chaining. Call before Handler(), like the other
-// site options; passing the zero Options selects the defaults (64
-// recent traces, every request sampled, 250ms slow threshold).
+// The slow board (EnableSlowLog) keeps the traces of the sampled
+// requests it admits. Returns the site for chaining. Call before
+// Handler(), like the other site options; passing the zero Options
+// selects the defaults (64 recent traces, one request in
+// trace.DefaultSampleEvery sampled).
 func (s *Site) EnableTracing(opts trace.Options) *Site {
 	s.traces = trace.NewRecorder(opts)
 	return s
@@ -24,58 +26,50 @@ func (s *Site) EnableTracing(opts trace.Options) *Site {
 func (s *Site) TraceRecorder() *trace.Recorder { return s.traces }
 
 // tracesResponse is the body of GET /debug/traces: recorder totals
-// plus the two rings as summaries (no span trees; fetch
-// /debug/traces/{id} for one request's waterfall).
+// plus the ring as summaries (no span trees; fetch /debug/traces/{id}
+// for one request's waterfall).
 type tracesResponse struct {
 	// Requests counts every request offered to the sampler; Sampled
 	// counts the ones that produced a trace.
 	Requests uint64 `json:"requests"`
 	Sampled  uint64 `json:"sampled"`
-	// SlowThresholdNs is the always-keep capture threshold (0 when
-	// slow capture is disabled).
-	SlowThresholdNs int64 `json:"slow_threshold_ns"`
-	// Recent holds the last-N completed traces, newest first; Slow the
-	// always-keep captures at or above the threshold, newest first.
+	// Recent holds the last-N completed traces, newest first.
 	Recent []trace.Snapshot `json:"recent"`
-	Slow   []trace.Snapshot `json:"slow"`
 }
 
-// handleTraces serves GET /debug/traces: the recent and slow rings as
-// JSON summaries. Like /statz it is served unauthenticated on the
-// site's handler; it exposes URIs, requester names, and timings, so
-// keep the handler off untrusted networks or front it with a proxy.
-// 404 when tracing is disabled, indistinguishable from an unknown
-// route by design.
+// handleTraces serves GET /debug/traces: the ring as JSON summaries.
+// Like /statz it is served unauthenticated on the site's handler; it
+// exposes URIs, requester names, and timings, so keep the handler off
+// untrusted networks or front it with a proxy. 404 when tracing is
+// disabled, indistinguishable from an unknown route by design.
 func (s *Site) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.traces == nil {
 		http.NotFound(w, r)
 		return
 	}
-	recent, slow := s.traces.Recent()
-	resp := tracesResponse{
-		SlowThresholdNs: s.traces.SlowThreshold().Nanoseconds(),
-		Recent:          make([]trace.Snapshot, 0, len(recent)),
-		Slow:            make([]trace.Snapshot, 0, len(slow)),
-	}
+	recent := s.traces.Recent()
+	resp := tracesResponse{Recent: make([]trace.Snapshot, 0, len(recent))}
 	resp.Requests, resp.Sampled = s.traces.Stats()
 	for _, t := range recent {
 		resp.Recent = append(resp.Recent, t.Snapshot(false))
-	}
-	for _, t := range slow {
-		resp.Slow = append(resp.Slow, t.Snapshot(false))
 	}
 	s.writeJSON(w, resp)
 }
 
 // handleTraceDetail serves GET /debug/traces/{id}: one trace with its
 // full span tree — offsets, durations, depths, and annotations — the
-// data a waterfall rendering needs.
+// data a waterfall rendering needs. The trace is found in the ring or,
+// after the ring has churned, on the slow board.
 func (s *Site) handleTraceDetail(w http.ResponseWriter, r *http.Request) {
 	if s.traces == nil {
 		http.NotFound(w, r)
 		return
 	}
-	t := s.traces.Lookup(r.PathValue("id"))
+	id := r.PathValue("id")
+	t := s.traces.Lookup(id)
+	if t == nil {
+		t = s.slow.lookupTrace(id)
+	}
 	if t == nil {
 		http.Error(w, "no such trace (evicted or never sampled)", http.StatusNotFound)
 		return

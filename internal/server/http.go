@@ -99,17 +99,65 @@ func (s *Site) Handler() http.Handler {
 	return s.instrument(s.gateReadiness(mux))
 }
 
-// authenticate resolves the requesting user. The bool result is false
-// when credentials were presented and rejected.
-func (s *Site) authenticate(r *http.Request) (string, bool) {
+// authenticate resolves the requesting user: "" for an anonymous
+// request. Credentials that were presented and rejected answer 401 and
+// report false.
+func (s *Site) authenticate(w http.ResponseWriter, r *http.Request) (string, bool) {
 	user, pass, ok := r.BasicAuth()
-	if !ok {
+	switch {
+	case !ok:
 		return "", true // anonymous
-	}
-	if s.Users.Authenticate(user, pass) {
+	case s.Users.Authenticate(user, pass):
 		return user, true
 	}
+	unauthorized(w, "authentication failed")
 	return "", false
+}
+
+// requireMember authenticates a named member of group: 401 without
+// valid credentials (anonymous callers included), 403 outside the
+// group, whose name the refusal states along with the guarded area.
+func (s *Site) requireMember(w http.ResponseWriter, r *http.Request, group, area string) (string, bool) {
+	user, pass, ok := r.BasicAuth()
+	if !ok || user == "" || !s.Users.Authenticate(user, pass) {
+		unauthorized(w, "authentication required")
+		return "", false
+	}
+	if !s.Directory.MemberOf(user, group) {
+		http.Error(w, area+" access requires group "+group, http.StatusForbidden)
+		return "", false
+	}
+	return user, true
+}
+
+// unauthorized answers 401 with a Basic challenge.
+func unauthorized(w http.ResponseWriter, msg string) {
+	w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
+	http.Error(w, msg, http.StatusUnauthorized)
+}
+
+// readBody reads a request body of at most Site.MaxUpdateBytes,
+// answering 413 past the limit and 400 on a failed read. The limit is
+// enforced by MaxBytesReader, which (unlike a bare LimitReader) fails
+// the read, so an oversized document is rejected outright instead of
+// being parsed as a corrupt prefix.
+func (s *Site) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	limit := s.MaxUpdateBytes
+	if limit <= 0 {
+		limit = defaultMaxUpdateBytes
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+				http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "reading body", http.StatusBadRequest)
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 func (s *Site) peerIP(r *http.Request) string {
@@ -136,10 +184,8 @@ func (s *Site) peerIP(r *http.Request) string {
 }
 
 func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
-	user, ok := s.authenticate(r)
+	user, ok := s.authenticate(w, r)
 	if !ok {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication failed", http.StatusUnauthorized)
 		return
 	}
 	uri := strings.TrimPrefix(r.URL.Path, "/docs/")
@@ -155,9 +201,10 @@ func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
 		// The structured line keeps the error detail server-side; the
 		// client sees only the opaque 500. Attribute values are data, not
 		// format-string input, so requester fields cannot inject.
+		rc := trace.RecordFromContext(r.Context())
 		s.logger().Error("document request failed",
-			"request_id", trace.RequestID(r.Context()), "uri", uri,
-			"user", rq.User, "ip", rq.IP, "class", classOf(r.Context()),
+			"request_id", rc.ID, "uri", uri,
+			"user", rq.User, "ip", rq.IP, "class", rc.Cost.Class,
 			"error", err.Error())
 		http.Error(w, "internal error", http.StatusInternalServerError)
 		return
@@ -171,29 +218,13 @@ func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Site) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	user, ok := s.authenticate(r)
+	user, ok := s.authenticate(w, r)
 	if !ok {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication failed", http.StatusUnauthorized)
 		return
 	}
 	uri := strings.TrimPrefix(r.URL.Path, "/docs/")
-	limit := s.MaxUpdateBytes
-	if limit <= 0 {
-		limit = defaultMaxUpdateBytes
-	}
-	// MaxBytesReader (unlike a bare LimitReader) fails the read when
-	// the body exceeds the limit, so an oversized document is rejected
-	// outright instead of being parsed as a corrupt prefix.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body", http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	rq := s.RequesterFor(user, s.peerIP(r))
@@ -219,10 +250,8 @@ func (s *Site) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // script or a result that breaks DTD validity, 500 the WAL refused the
 // delta record.
 func (s *Site) handleApplyUpdate(w http.ResponseWriter, r *http.Request) {
-	user, ok := s.authenticate(r)
+	user, ok := s.authenticate(w, r)
 	if !ok {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication failed", http.StatusUnauthorized)
 		return
 	}
 	uri, found := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/docs/"), "/update")
@@ -233,24 +262,13 @@ func (s *Site) handleApplyUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST is only supported on /docs/<uri>/update", http.StatusMethodNotAllowed)
 		return
 	}
-	limit := s.MaxUpdateBytes
-	if limit <= 0 {
-		limit = defaultMaxUpdateBytes
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body", http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	rq := s.RequesterFor(user, s.peerIP(r))
 	start := time.Now()
-	err = s.ApplyUpdate(r.Context(), rq, uri, string(body))
+	err := s.ApplyUpdate(r.Context(), rq, uri, string(body))
 	s.metrics.updateApply.ObserveSince(start)
 	outcome := "ok"
 	switch {
@@ -304,10 +322,8 @@ func writeUpdateReport(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Site) handleQuery(w http.ResponseWriter, r *http.Request) {
-	user, ok := s.authenticate(r)
+	user, ok := s.authenticate(w, r)
 	if !ok {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication failed", http.StatusUnauthorized)
 		return
 	}
 	uri := strings.TrimPrefix(r.URL.Path, "/query/")
@@ -341,9 +357,10 @@ func (s *Site) handleQuery(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "query cancelled", http.StatusServiceUnavailable)
 			return
 		}
+		rc := trace.RecordFromContext(r.Context())
 		s.logger().Error("query request failed",
-			"request_id", trace.RequestID(r.Context()), "uri", uri,
-			"user", rq.User, "ip", rq.IP, "class", classOf(r.Context()),
+			"request_id", rc.ID, "uri", uri,
+			"user", rq.User, "ip", rq.IP, "class", rc.Cost.Class,
 			"error", err.Error())
 		http.Error(w, "internal error", http.StatusInternalServerError)
 		return
@@ -367,33 +384,16 @@ const DefaultAdminGroup = "admin"
 // valid credentials AND the user must belong to the admin group, so a
 // missing group membership reads as 403, not as a silent no-op.
 func (s *Site) handleAdminXACL(w http.ResponseWriter, r *http.Request) {
-	user, ok := s.authenticate(r)
-	if !ok || user == "" {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication required", http.StatusUnauthorized)
-		return
-	}
 	group := s.AdminGroup
 	if group == "" {
 		group = DefaultAdminGroup
 	}
-	if !s.Directory.MemberOf(user, group) {
-		http.Error(w, "admin access requires group "+group, http.StatusForbidden)
+	user, ok := s.requireMember(w, r, group, "admin")
+	if !ok {
 		return
 	}
-	limit := s.MaxUpdateBytes
-	if limit <= 0 {
-		limit = defaultMaxUpdateBytes
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "reading body", http.StatusBadRequest)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	x, err := s.LoadXACLContext(r.Context(), string(body))
@@ -417,9 +417,7 @@ func (s *Site) handleAdminXACL(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Site) handleDTD(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.authenticate(r); !ok {
-		w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-		http.Error(w, "authentication failed", http.StatusUnauthorized)
+	if _, ok := s.authenticate(w, r); !ok {
 		return
 	}
 	uri := strings.TrimPrefix(r.URL.Path, "/dtds/")

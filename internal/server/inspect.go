@@ -64,14 +64,7 @@ func (s *Site) gateReadiness(next http.Handler) http.Handler {
 func (s *Site) gateDebug(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if g := s.DebugGroup; g != "" {
-			user, ok := s.authenticate(r)
-			if !ok || user == "" {
-				w.Header().Set("WWW-Authenticate", `Basic realm="xmlsec"`)
-				http.Error(w, "authentication required", http.StatusUnauthorized)
-				return
-			}
-			if !s.Directory.MemberOf(user, g) {
-				http.Error(w, "debug access requires group "+g, http.StatusForbidden)
+			if _, ok := s.requireMember(w, r, g, "debug"); !ok {
 				return
 			}
 		}

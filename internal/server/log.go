@@ -1,11 +1,6 @@
 package server
 
-import (
-	"context"
-	"log/slog"
-
-	"xmlsec/internal/trace"
-)
+import "log/slog"
 
 // logger returns the site's structured logger, falling back to the
 // process default so zero-configured Sites still log somewhere useful.
@@ -14,13 +9,4 @@ func (s *Site) logger() *slog.Logger {
 		return s.Logger
 	}
 	return slog.Default()
-}
-
-// classOf reads the requester's authorization-equivalence class off the
-// request's cost card for log attribution; -1 when unclassified.
-func classOf(ctx context.Context) int64 {
-	if card := trace.CostFromContext(ctx); card != nil {
-		return card.Class
-	}
-	return -1
 }

@@ -254,66 +254,42 @@ func (s *Site) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// instrument wraps the site's mux: it stamps every response with an
-// X-Request-ID, starts a trace for sampled requests (the trace ID IS
-// the request ID, so audit lines, response headers, and /debug/traces
-// all join on one value), attaches a pooled cost card that the hot
-// path itemizes its work and stage times onto, and records request
-// count, status, and latency per route. When the request finishes,
-// each stage it ran is observed once in xmlsec_stage_duration_seconds,
-// and the card is copied unchanged into the trace snapshot and offered
-// to the slow-request log, then returned to the pool — the card itself
-// never outlives the request.
+// instrument wraps the site's mux: it begins the request's record
+// (see trace.Record), which carries the X-Request-ID every response is
+// stamped with, the cost card the hot path itemizes its work and stage
+// times onto, and — for sampled requests — the trace, whose ID is the
+// request ID, so audit lines, response headers, the slow board and
+// /debug/traces all join on one value. When the request ends, every
+// channel reads the one record: each stage it ran is observed once in
+// xmlsec_stage_duration_seconds, the trace is finished with a copy of
+// the card, the slow board copies the record if it admits it, and the
+// per-route count and latency are recorded. Then the record returns to
+// its pool; nothing that outlives the request points into it.
 func (s *Site) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		route := routeOf(r.URL.Path)
-		ctx := r.Context()
-		tr := s.traces.Start(r.Method + " " + route) // nil recorder or unsampled → nil
-		id := requestIDFrom(r)
-		if tr != nil {
-			if id != "" {
-				// Propagate the client's well-formed ID as the trace ID
-				// so the caller's correlation value works everywhere.
-				tr.ID = id
-			} else {
-				id = tr.ID
-			}
-			root := tr.Root()
-			root.Lazyf("%s %s from %s", r.Method, r.URL.Path, r.RemoteAddr)
-			ctx = trace.NewContext(ctx, root)
-		} else if id == "" {
-			id = trace.NewID()
+		// A client's well-formed X-Request-ID becomes the request (and
+		// trace) ID, so the caller's correlation value works everywhere.
+		ctx, rc := trace.Begin(r.Context(), s.traces, requestIDFrom(r), r.Method, routeOf(r.URL.Path))
+		defer rc.Release()
+		if rc.Trace != nil {
+			rc.Trace.Root().Lazyf("%s %s from %s", r.Method, r.URL.Path, r.RemoteAddr)
 		}
-		// The card rides in the SAME context value as the request ID, so
-		// cost accounting adds no context allocation over the seed path.
-		card := obs.GetCostCard()
-		ctx = trace.WithRequest(ctx, id, card)
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-ID", rc.ID)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		s.metrics.stages.Observe(card)
-		if tr != nil {
-			tr.SetCost(*card)
-			tr.Root().Lazyf("status %d", sw.status)
-			tr.Finish()
-		}
-		if s.slow.record(SlowEntry{
-			RequestID: id, Method: r.Method, Route: route, Status: sw.status,
-			Start: start, DurationNs: dur.Nanoseconds(), Cost: *card,
-		}) {
+		rc.End(sw.status)
+		s.metrics.stages.Observe(&rc.Cost)
+		if s.slow.record(rc) {
 			// One structured line per admitted slow request: operators
 			// grep logs by request_id and land on the same entry that
 			// /debug/slowz, the audit trail, and the trace ring hold.
 			s.logger().Warn("slow request",
-				"request_id", id, "method", r.Method, "route", route,
-				"status", sw.status, "duration", dur, "class", card.Class,
-				"nodes_labeled", card.NodesLabeled, "bytes", card.BytesSerialized)
+				"request_id", rc.ID, "method", rc.Method, "route", rc.Route,
+				"status", rc.Status, "duration", rc.Duration, "class", rc.Cost.Class,
+				"nodes_labeled", rc.Cost.NodesLabeled, "bytes", rc.Cost.BytesSerialized)
 		}
-		obs.PutCostCard(card)
-		s.metrics.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
-		s.metrics.httpDur.With(route).Observe(dur.Seconds())
+		s.metrics.httpReqs.With(rc.Route, strconv.Itoa(rc.Status)).Inc()
+		s.metrics.httpDur.With(rc.Route).Observe(rc.Duration.Seconds())
 	})
 }
 

@@ -200,7 +200,7 @@ func (s *Site) Process(rq subjects.Requester, uri string) (*ProcessResult, error
 // context with neither adds no allocation to the cycle.
 func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (*ProcessResult, error) {
 	res, err := s.process(ctx, rq, uri)
-	s.auditRead(ctx, rq, uri, res, err)
+	s.auditOp(ctx, "read", rq, uri, res, err)
 	return res, err
 }
 

@@ -19,7 +19,7 @@ import (
 // evaluation.
 func TestOneRequestRecord(t *testing.T) {
 	site := durableLabSite(t, t.TempDir()).EnableViewCache(16).EnableSlowLog(0, 32)
-	site.EnableTracing(trace.Options{Capacity: 16, SampleEvery: 1, SlowThreshold: -1})
+	site.EnableTracing(trace.Options{Capacity: 16, SampleEvery: 1})
 	var audit bytes.Buffer
 	site.SetAuditLog(&audit)
 	h := site.Handler()
@@ -105,8 +105,7 @@ func TestOneRequestRecord(t *testing.T) {
 		}
 
 		var snap *trace.Snapshot
-		recent, _ := site.traces.Recent()
-		for _, tr := range recent {
+		for _, tr := range site.traces.Recent() {
 			if tr.ID == id {
 				s := tr.Snapshot(false)
 				snap = &s

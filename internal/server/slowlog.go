@@ -6,12 +6,14 @@ import (
 	"time"
 
 	"xmlsec/internal/obs"
+	"xmlsec/internal/trace"
 )
 
-// SlowEntry is one slow-request capture: the request's identity (route,
+// SlowEntry is one slow-request capture, copied from the request's
+// record when the board admits it: the request's identity (route,
 // method, status, X-Request-ID), when it ran and for how long, and its
-// full cost card. Where a trace shows the request's timeline, the slow
-// log keeps the *work receipt* of the worst offenders so "why was this
+// full cost card. The board keeps the *work receipt* of the worst
+// offenders — and, for sampled ones, their traces — so "why was this
 // request slow" is answerable after the trace ring has churned.
 type SlowEntry struct {
 	RequestID  string       `json:"request_id"`
@@ -21,6 +23,8 @@ type SlowEntry struct {
 	Start      time.Time    `json:"start"`
 	DurationNs int64        `json:"duration_ns"`
 	Cost       obs.CostCard `json:"cost"`
+
+	tr *trace.Trace // the request's trace, nil when it was not sampled
 }
 
 // slowLog is a bounded worst-offender ring: requests at or above the
@@ -49,34 +53,54 @@ func newSlowLog(threshold time.Duration, max int) *slowLog {
 	return &slowLog{threshold: threshold, max: max}
 }
 
-// record offers one finished request to the log; it reports whether
-// the entry made the board (so the caller can emit a matching
-// structured log line for admitted requests only).
-func (l *slowLog) record(e SlowEntry) bool {
-	if l == nil || time.Duration(e.DurationNs) < l.threshold {
+// record offers one ended request to the log, copying its record only
+// when the board admits it; it reports whether the request made the
+// board (so the caller can emit a matching structured log line for
+// admitted requests only).
+func (l *slowLog) record(rc *trace.Record) bool {
+	if l == nil || rc.Duration < l.threshold {
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.observed++
-	if len(l.entries) < l.max {
-		l.entries = append(l.entries, e)
-		l.recorded++
-		return true
-	}
-	// Full: the new entry must beat the current minimum to enter.
-	minIdx := 0
-	for i := 1; i < len(l.entries); i++ {
-		if l.entries[i].DurationNs < l.entries[minIdx].DurationNs {
-			minIdx = i
+	i := len(l.entries)
+	if i < l.max {
+		l.entries = append(l.entries, SlowEntry{})
+	} else {
+		// Full: the new entry must beat the current minimum to enter.
+		i = 0
+		for j := 1; j < len(l.entries); j++ {
+			if l.entries[j].DurationNs < l.entries[i].DurationNs {
+				i = j
+			}
+		}
+		if rc.Duration.Nanoseconds() <= l.entries[i].DurationNs {
+			return false
 		}
 	}
-	if e.DurationNs > l.entries[minIdx].DurationNs {
-		l.entries[minIdx] = e
-		l.recorded++
-		return true
+	l.entries[i] = SlowEntry{
+		RequestID: rc.ID, Method: rc.Method, Route: rc.Route, Status: rc.Status,
+		Start: rc.Start, DurationNs: rc.Duration.Nanoseconds(), Cost: rc.Cost, tr: rc.Trace,
 	}
-	return false
+	l.recorded++
+	return true
+}
+
+// lookupTrace returns the trace of the request id while it is on the
+// board, or nil.
+func (l *slowLog) lookupTrace(id string) *trace.Trace {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range l.entries {
+		if e.RequestID == id {
+			return e.tr
+		}
+	}
+	return nil
 }
 
 // Snapshot returns the current entries, slowest first.
@@ -109,6 +133,7 @@ func (l *slowLog) Reset() {
 		return
 	}
 	l.mu.Lock()
+	clear(l.entries) // drop the evicted entries' traces
 	l.entries = l.entries[:0]
 	l.mu.Unlock()
 }
@@ -116,8 +141,10 @@ func (l *slowLog) Reset() {
 // EnableSlowLog turns on the slow-request log: requests whose total
 // duration is at or above threshold are captured with their cost cards
 // and served at GET /debug/slowz, bounded to the max worst offenders
-// (≤0 selects 64). A zero threshold captures everything. Returns the
-// site for chaining; call before Handler(), like the other options.
+// (≤0 selects 64); a sampled one's trace stays at /debug/traces/{id}
+// while it is on the board. A zero threshold captures everything.
+// Returns the site for chaining; call before Handler(), like the other
+// options.
 func (s *Site) EnableSlowLog(threshold time.Duration, max int) *Site {
 	s.slow = newSlowLog(threshold, max)
 	return s

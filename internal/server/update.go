@@ -66,7 +66,7 @@ func (s *Site) Update(rq subjects.Requester, uri, newSource string) error {
 // labels that a concurrent authorization change has since revoked.
 // ApplyUpdate holds the lock the same way.
 func (s *Site) UpdateContext(ctx context.Context, rq subjects.Requester, uri, newSource string) (err error) {
-	defer func() { s.auditWrite(ctx, rq, uri, err) }()
+	defer func() { s.auditOp(ctx, "write", rq, uri, nil, err) }()
 	tm := trace.StartStageChild(ctx, obs.StageParse)
 	res, parseErr := xmlparse.Parse(newSource, xmlparse.Options{
 		Loader:        storeLoader{s.Docs},
@@ -202,7 +202,7 @@ func (s *Site) QueryDocContext(ctx context.Context, rq subjects.Requester, uri, 
 	if err == nil {
 		out, err = res.View.QueryResultOf(ctx, p)
 	}
-	s.auditRead(ctx, rq, uri, res, err)
+	s.auditOp(ctx, "query", rq, uri, res, err)
 	return out, err
 }
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -28,14 +27,20 @@ const spanChunk = 8
 // IDs are random, not sequential, so they can be exposed to clients
 // without leaking request volume.
 func NewID() string {
-	return fmt.Sprintf("%016x", rand.Uint64())
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := rand.Uint64()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&15]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
-// Trace is one request's record: an identifier shared with the HTTP
-// response and the audit trail, and a tree of timed spans. A Trace is
-// safe for concurrent use (parallel index fills annotate concurrently);
-// after Finish it is immutable and may be read without locking through
-// Snapshot.
+// Trace is a sampled request's timing tree: its record's ID and a tree
+// of timed spans. A Trace is safe for concurrent use (parallel index
+// fills annotate concurrently); once its request ends it is immutable
+// and may be read without locking through Snapshot.
 type Trace struct {
 	// ID is the request identifier (also the X-Request-ID header and
 	// the audit record's request_id).
@@ -46,25 +51,15 @@ type Trace struct {
 
 	mu       sync.Mutex
 	name     string
-	duration time.Duration // set by Finish
+	duration time.Duration // set by finish
 	finished bool
 	spans    []*Span // creation order; spans[0] is the root
 	dropped  int     // spans not recorded beyond maxSpans
 	arena    []Span  // chunked backing storage for spans
-	cost     *obs.CostCard
-}
-
-// SetCost attaches a copy of the request's cost card to the trace; the
-// middleware calls it just before Finish, so /debug/traces shows what
-// the traced request did alongside where its time went.
-func (t *Trace) SetCost(c obs.CostCard) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	cc := c
-	t.cost = &cc
-	t.mu.Unlock()
+	// cost is the request's cost card, copied in when the request ends,
+	// so /debug/traces shows what the request did alongside where its
+	// time went.
+	cost obs.CostCard
 }
 
 // Span is one timed region of a trace. The zero of *Span is a valid
@@ -85,8 +80,9 @@ type Span struct {
 
 // annotation defers formatting to snapshot time, so recording one on
 // the request path costs an append, not an fmt.Sprintf. The args are
-// retained until the trace leaves the ring; callers pass values, not
-// pointers into request state they intend to mutate.
+// retained as long as the trace is (in the ring or on the slow board);
+// callers pass values, not pointers into request state they intend to
+// mutate.
 type annotation struct {
 	at     time.Time
 	format string
@@ -94,8 +90,8 @@ type annotation struct {
 }
 
 // newTrace starts a trace rooted at a span named name.
-func newTrace(rec *Recorder, name string, now time.Time) *Trace {
-	tr := &Trace{ID: NewID(), rec: rec, start: now, name: name}
+func newTrace(rec *Recorder, id, name string, now time.Time) *Trace {
+	tr := &Trace{ID: id, rec: rec, start: now, name: name}
 	tr.spans = make([]*Span, 0, spanChunk)
 	root := tr.alloc()
 	root.tr, root.name, root.start = tr, name, now
@@ -122,16 +118,14 @@ func (t *Trace) Root() *Span {
 	return t.spans[0]
 }
 
-// Finish closes the root span, stamps the trace's total duration, and
-// hands the trace to its recorder's rings. Finish must be called once,
-// after all spans have ended; the trace is immutable afterwards.
-func (t *Trace) Finish() {
-	if t == nil {
-		return
-	}
+// finish closes the root span, stamps the request's duration d and
+// cost card, and hands the trace to its recorder's ring. Record.End
+// calls it once, after all spans have ended; the trace is immutable
+// afterwards.
+func (t *Trace) finish(d time.Duration, cost *obs.CostCard) {
 	t.mu.Lock()
-	d := time.Since(t.start)
 	t.duration = d
+	t.cost = *cost
 	root := t.spans[0]
 	if !root.ended {
 		root.ended = true
@@ -201,164 +195,6 @@ func (s *Span) Lazyf(format string, args ...any) {
 // the untraced path.
 func (s *Span) Traced() bool { return s != nil }
 
-// context keys: one for the current span (the trace travels with it),
-// one for the per-request scope — the request ID plus the cost card —
-// set even when the request is untraced, so audit records always carry
-// the ID and cost accounting works at any sampling rate.
-type spanKey struct{}
-type requestIDKey struct{}
-
-// reqInfo is the per-request context payload: one context value carries
-// both the ID and the cost card, so adding cost accounting did not add
-// a second context allocation to the request path.
-type reqInfo struct {
-	id   string
-	cost *obs.CostCard
-}
-
-// NewContext returns ctx carrying sp as the current span. Passing the
-// result to StartSpan parents new spans under sp.
-func NewContext(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
-// SpanFromContext returns the current span, or nil when the request is
-// untraced. The nil result is safe to use directly: all Span methods
-// no-op on nil.
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
-}
-
-// FromContext returns the current trace, or nil.
-func FromContext(ctx context.Context) *Trace {
-	if sp := SpanFromContext(ctx); sp != nil {
-		return sp.tr
-	}
-	return nil
-}
-
-// StartSpan starts a child of the context's current span and returns a
-// context carrying it. On an untraced context it returns ctx unchanged
-// and a nil span — no allocation, no lock.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.tr.startSpan(name, parent, time.Now())
-	if child == nil {
-		return ctx, nil
-	}
-	return context.WithValue(ctx, spanKey{}, child), child
-}
-
-// StartChild starts a child of the context's current span without
-// deriving a new context. For leaf spans — ones that never parent
-// further spans — it saves the context allocation StartSpan pays.
-func StartChild(ctx context.Context, name string) *Span {
-	parent := SpanFromContext(ctx)
-	if parent == nil {
-		return nil
-	}
-	return parent.tr.startSpan(name, parent, time.Now())
-}
-
-// Timer times one stage of a request: End adds the elapsed time to the
-// request's cost card (obs.CostCard.Stages), and a traced request also
-// records the stage as a span, whose methods the Timer promotes. The
-// zero Timer is a no-op. A Timer allocates nothing and reads the clock
-// only when a card or a trace will record the reading.
-type Timer struct {
-	*Span
-	card  *obs.CostCard
-	stage obs.Stage
-	start time.Duration // since epoch
-}
-
-// epoch anchors Timer readings: time.Since(epoch) reads only the
-// monotonic clock, half the cost of time.Now.
-var epoch = time.Now()
-
-// StartStage starts timing stage st, returning a context that parents
-// spans nested in the stage under it — StartSpan's shape for stages.
-func StartStage(ctx context.Context, st obs.Stage) (context.Context, Timer) {
-	t := StartStageChild(ctx, st)
-	if t.Span != nil {
-		ctx = context.WithValue(ctx, spanKey{}, t.Span)
-	}
-	return ctx, t
-}
-
-// StartStageChild starts timing stage st without deriving a context —
-// StartChild's shape, for stages that parent no further spans.
-func StartStageChild(ctx context.Context, st obs.Stage) Timer {
-	card, parent := CostFromContext(ctx), SpanFromContext(ctx)
-	if card == nil && parent == nil {
-		return Timer{}
-	}
-	t := Timer{card: card, stage: st, start: time.Since(epoch)}
-	if parent != nil {
-		t.Span = parent.tr.startSpan(st.String(), parent, epoch.Add(t.start))
-	}
-	return t
-}
-
-// End adds the elapsed time (at least 1 ns, so a stage that ran is
-// never zero) to the card and ends the span with the same duration.
-func (t Timer) End() {
-	if t.card == nil && t.Span == nil {
-		return
-	}
-	d := time.Since(epoch) - t.start
-	if t.card != nil {
-		t.card.Stages[t.stage] += max(d.Nanoseconds(), 1)
-	}
-	if t.Span != nil {
-		t.Span.endAfter(d)
-	}
-}
-
-// WithRequestID returns ctx carrying the request identifier.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return WithRequest(ctx, id, nil)
-}
-
-// WithRequest returns ctx carrying the request identifier and the
-// request's cost card (nil is fine: cost accounting is then off for
-// this request). The two share one context value.
-func WithRequest(ctx context.Context, id string, cost *obs.CostCard) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, reqInfo{id: id, cost: cost})
-}
-
-// RequestID returns the request identifier carried by ctx: the traced
-// request's trace ID, the ID stamped by the middleware for untraced
-// requests, or "" outside a request.
-func RequestID(ctx context.Context) string {
-	if ri, ok := ctx.Value(requestIDKey{}).(reqInfo); ok {
-		return ri.id
-	}
-	if tr := FromContext(ctx); tr != nil {
-		return tr.ID
-	}
-	return ""
-}
-
-// CostFromContext returns the request's cost card, or nil when the
-// request carries none. Hot paths fetch the card once and guard their
-// plain-field increments with a nil check:
-//
-//	if c := trace.CostFromContext(ctx); c != nil { c.NodesLabeled += n }
-func CostFromContext(ctx context.Context) *obs.CostCard {
-	if ri, ok := ctx.Value(requestIDKey{}).(reqInfo); ok {
-		return ri.cost
-	}
-	return nil
-}
-
 // SpanSnapshot is one span of a finished trace, offsets relative to
 // the trace start — the rows of a waterfall rendering.
 type SpanSnapshot struct {
@@ -368,8 +204,8 @@ type SpanSnapshot struct {
 	// OffsetNs is the span's start relative to the trace start.
 	OffsetNs   int64 `json:"offset_ns"`
 	DurationNs int64 `json:"duration_ns"`
-	// Unfinished marks spans never End()ed before Finish; their
-	// duration runs to the trace end.
+	// Unfinished marks spans never End()ed before the request ended;
+	// their duration runs to the trace end.
 	Unfinished  bool     `json:"unfinished,omitempty"`
 	Annotations []string `json:"annotations,omitempty"`
 	// DroppedAnnotations counts annotations past the per-span bound.
@@ -382,22 +218,20 @@ type Snapshot struct {
 	Name       string    `json:"name"`
 	Start      time.Time `json:"start"`
 	DurationNs int64     `json:"duration_ns"`
-	// Slow marks traces at or above the recorder's slow threshold.
-	Slow bool `json:"slow,omitempty"`
 	// Spans is the full tree in start order; omitted in list views.
 	Spans []SpanSnapshot `json:"spans,omitempty"`
 	// DroppedSpans counts spans past the per-trace bound.
 	DroppedSpans int `json:"dropped_spans,omitempty"`
-	// Cost is the request's cost card, when the middleware attached one
-	// (see obs.CostCard): the work receipt joined to the timing tree.
-	// Its stages_ns is the trace's per-stage timing table.
+	// Cost is the request's cost card once it has ended (see
+	// obs.CostCard): the work receipt joined to the timing tree. Its
+	// stages_ns is the trace's per-stage timing table.
 	Cost *obs.CostCard `json:"cost,omitempty"`
 }
 
 // Snapshot renders the trace. withSpans selects the full waterfall;
 // without it only the summary (ID, duration, cost card) is built.
-// Snapshot is called on finished traces (the rings hold only those);
-// on a live trace it returns a best-effort copy.
+// Snapshot is called on finished traces (the ring and the slow board
+// hold only those); on a live trace it returns a best-effort copy.
 func (t *Trace) Snapshot(withSpans bool) Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -407,10 +241,10 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 		Start:        t.start,
 		DurationNs:   t.duration.Nanoseconds(),
 		DroppedSpans: t.dropped,
-		Cost:         t.cost,
 	}
-	if t.rec != nil && t.rec.slowThreshold > 0 && t.duration >= t.rec.slowThreshold {
-		s.Slow = true
+	if t.finished {
+		cost := t.cost
+		s.Cost = &cost
 	}
 	if !withSpans {
 		return s
@@ -441,11 +275,4 @@ func (t *Trace) Snapshot(withSpans bool) Snapshot {
 		s.Spans = append(s.Spans, ss)
 	}
 	return s
-}
-
-// Duration returns the finished trace's total duration.
-func (t *Trace) Duration() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.duration
 }

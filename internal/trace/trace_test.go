@@ -25,10 +25,21 @@ func TestUntracedPathIsFreeAndNilSafe(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("untraced StartSpan allocated %v times per run, want 0", allocs)
 	}
-	// The stage timer allocates nothing either, with a cost card (it
-	// adds to the card's array) or without one (it reads no clock).
-	card := &obs.CostCard{}
-	for _, c := range []context.Context{ctx, WithRequest(ctx, "id", card)} {
+	// Neither does an untraced request's record: StartSpan returns its
+	// context unchanged, and the stage timer adds to the record's card
+	// (outside a request it reads no clock).
+	rctx, rc := Begin(ctx, nil, "id", "GET", "/docs/")
+	defer rc.Release()
+	allocs = testing.AllocsPerRun(100, func() {
+		if ctx2, sp := StartSpan(rctx, "label"); ctx2 != rctx || sp != nil {
+			t.Fatal("untraced StartSpan must return the record's context and a nil span")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("StartSpan on an untraced record allocated %v times per run, want 0", allocs)
+	}
+	card := &rc.Cost
+	for _, c := range []context.Context{ctx, rctx} {
 		allocs = testing.AllocsPerRun(100, func() {
 			ctx2, tm := StartStage(c, obs.StageLabel)
 			if tm.Traced() {
@@ -47,45 +58,88 @@ func TestUntracedPathIsFreeAndNilSafe(t *testing.T) {
 	if card.Stages[obs.StageLabel] <= 0 || card.Stages[obs.StagePrune] <= 0 {
 		t.Errorf("stage timer did not record on the card: %v", card.Stages)
 	}
+	if rc.Trace != nil || SpanFromContext(rctx) != nil || RequestID(rctx) != "id" || CostFromContext(rctx) != card {
+		t.Errorf("untraced record: trace %v, span %v, ID %q", rc.Trace, SpanFromContext(rctx), RequestID(rctx))
+	}
 	var zero Timer
 	zero.End()
 	// Nil-safety of everything a caller can reach without a recorder.
 	var tr *Trace
-	tr.Finish()
 	if tr.Root() != nil {
 		t.Error("nil trace Root should be nil")
 	}
 	var rec *Recorder
-	if rec.Start("x") != nil {
+	if rec.start("id", "GET", "/x", time.Now()) != nil {
 		t.Error("nil recorder must not trace")
 	}
-	if got, _ := rec.Recent(); got != nil {
-		t.Error("nil recorder Recent should be empty")
+	if rec.Recent() != nil || rec.Lookup("id") != nil {
+		t.Error("nil recorder should hold no traces")
 	}
-	if SpanFromContext(ctx) != nil || FromContext(ctx) != nil {
-		t.Error("empty context should carry no span")
+	if SpanFromContext(ctx) != nil || RecordFromContext(ctx) != nil || CostFromContext(ctx) != nil {
+		t.Error("empty context should carry no record")
 	}
 	if RequestID(ctx) != "" {
 		t.Error("empty context should carry no request ID")
 	}
 }
 
+// countingCtx counts the Value lookups made through it.
+type countingCtx struct {
+	context.Context
+	n *int
+}
+
+func (c countingCtx) Value(key any) any {
+	*c.n++
+	return c.Context.Value(key)
+}
+
+// TestOneContextLookup pins the one-record contract: each accessor
+// finds everything it needs with a single ctx.Value, untraced or
+// traced, inside a request or outside one.
+func TestOneContextLookup(t *testing.T) {
+	traced := NewRecorder(Options{SampleEvery: 1})
+	for _, rec := range []*Recorder{nil, traced} {
+		ctx, rc := Begin(context.Background(), rec, "", "GET", "/docs/")
+		for _, base := range []context.Context{context.Background(), ctx} {
+			var n int
+			c := countingCtx{base, &n}
+			for name, call := range map[string]func(){
+				"StartStageChild": func() { StartStageChild(c, obs.StagePrune).End() },
+				"StartStage":      func() { _, tm := StartStage(c, obs.StageLabel); tm.End() },
+				"StartSpan":       func() { _, sp := StartSpan(c, "s"); sp.End() },
+				"StartChild":      func() { StartChild(c, "s").End() },
+				"CostFromContext": func() { CostFromContext(c) },
+				"SpanFromContext": func() { SpanFromContext(c) },
+				"RequestID":       func() { RequestID(c) },
+			} {
+				n = 0
+				call()
+				if n != 1 {
+					t.Errorf("traced=%v in-request=%v: %s made %d context lookups, want 1",
+						rec != nil, base == ctx, name, n)
+				}
+			}
+		}
+		rc.End(200)
+		rc.Release()
+	}
+}
+
 func TestSpanTreeAndStages(t *testing.T) {
-	rec := NewRecorder(Options{Capacity: 4, SampleEvery: 1, SlowThreshold: -1})
-	tr := rec.Start("GET /docs/")
+	rec := NewRecorder(Options{Capacity: 4, SampleEvery: 1})
+	ctx, rc := Begin(context.Background(), rec, "", "GET", "/docs/")
+	tr := rc.Trace
 	if tr == nil {
-		t.Fatal("SampleEvery default must trace every request")
+		t.Fatal("SampleEvery 1 must trace every request")
 	}
-	ctx := NewContext(context.Background(), tr.Root())
-	if FromContext(ctx) != tr {
-		t.Fatal("trace not recoverable from context")
+	if RecordFromContext(ctx) != rc || SpanFromContext(ctx) != tr.Root() {
+		t.Fatal("record and root span not recoverable from context")
 	}
-	if RequestID(ctx) != tr.ID {
-		t.Fatalf("RequestID = %q, want trace ID %q", RequestID(ctx), tr.ID)
+	if RequestID(ctx) != tr.ID || len(tr.ID) != 16 {
+		t.Fatalf("RequestID = %q, want the minted trace ID %q", RequestID(ctx), tr.ID)
 	}
 
-	card := &obs.CostCard{}
-	ctx = WithRequest(ctx, tr.ID, card)
 	lctx, label := StartStage(ctx, obs.StageLabel)
 	_, fill := StartSpan(lctx, "authindex.fill")
 	fill.Lazyf("auth %s selected %d nodes", "<public,/lab,read,+,R>", 7)
@@ -93,15 +147,22 @@ func TestSpanTreeAndStages(t *testing.T) {
 	fill.End()
 	label.End()
 	StartStageChild(ctx, obs.StagePrune).End()
-	tr.SetCost(*card)
-	tr.Finish()
+	rc.End(204)
+	if rc.Status != 204 || rc.Duration < time.Millisecond {
+		t.Errorf("record ended with status %d after %v", rc.Status, rc.Duration)
+	}
+	dur := rc.Duration
+	rc.Release()
 
 	snap := tr.Snapshot(true)
 	if snap.ID != tr.ID || snap.Name != "GET /docs/" {
 		t.Errorf("snapshot header wrong: %+v", snap)
 	}
-	if snap.DurationNs <= 0 {
-		t.Error("finished trace must have a duration")
+	if snap.DurationNs != dur.Nanoseconds() {
+		t.Errorf("trace duration %d ns, want the record's %d ns", snap.DurationNs, dur.Nanoseconds())
+	}
+	if rec.Lookup(tr.ID) != tr {
+		t.Error("ended trace not in the recorder's ring")
 	}
 	if len(snap.Spans) != 4 { // root, label, fill, prune
 		t.Fatalf("got %d spans, want 4", len(snap.Spans))
@@ -137,6 +198,9 @@ func TestSpanTreeAndStages(t *testing.T) {
 	if len(fillSnap.Annotations) != 1 || !strings.Contains(fillSnap.Annotations[0], "selected 7 nodes") {
 		t.Errorf("annotation missing or unformatted: %v", fillSnap.Annotations)
 	}
+	if root := snap.Spans[0].Annotations; len(root) != 1 || !strings.Contains(root[0], "status 204") {
+		t.Errorf("root span lacks the status annotation: %v", root)
+	}
 	// Summary view omits spans but keeps the card.
 	sum := tr.Snapshot(false)
 	if sum.Spans != nil || sum.Cost == nil || sum.Cost.Stages != snap.Cost.Stages {
@@ -145,63 +209,70 @@ func TestSpanTreeAndStages(t *testing.T) {
 }
 
 func TestAnnotationAndSpanBounds(t *testing.T) {
-	rec := NewRecorder(Options{Capacity: 2, SampleEvery: 1, SlowThreshold: -1})
-	tr := rec.Start("r")
+	rec := NewRecorder(Options{Capacity: 2, SampleEvery: 1})
+	ctx, rc := Begin(context.Background(), rec, "", "GET", "/r")
+	tr := rc.Trace
 	root := tr.Root()
 	for i := 0; i < maxAnnotations+5; i++ {
 		root.Lazyf("a%d", i)
 	}
-	ctx := NewContext(context.Background(), root)
 	for i := 0; i < maxSpans+10; i++ {
 		_, sp := StartSpan(ctx, "s")
 		sp.End()
 	}
-	tr.Finish()
+	rc.End(200)
+	rc.Release()
 	snap := tr.Snapshot(true)
 	if snap.DroppedSpans != 11 { // maxSpans includes the root
 		t.Errorf("DroppedSpans = %d, want 11", snap.DroppedSpans)
 	}
-	if got := snap.Spans[0].DroppedAnnotations; got != 5 {
-		t.Errorf("DroppedAnnotations = %d, want 5", got)
+	if got := snap.Spans[0].DroppedAnnotations; got != 6 { // 5 + End's status line
+		t.Errorf("DroppedAnnotations = %d, want 6", got)
 	}
 	if len(snap.Spans[0].Annotations) != maxAnnotations {
 		t.Errorf("kept %d annotations, want %d", len(snap.Spans[0].Annotations), maxAnnotations)
 	}
 }
 
+// TestRingEvictionAndSlowCapture pins the split of duties between the
+// recorder and the slow board: the ring keeps only the last Capacity
+// traces, while a trace held past its eviction — as the slow board
+// holds the traces of the requests it admits — still renders its
+// waterfall and card after its record has gone back to the pool.
 func TestRingEvictionAndSlowCapture(t *testing.T) {
-	rec := NewRecorder(Options{Capacity: 3, SlowCapacity: 2, SampleEvery: 1, SlowThreshold: 5 * time.Millisecond})
-	slowIDs := make(map[string]bool)
+	rec := NewRecorder(Options{Capacity: 3, SampleEvery: 1})
+	var held *Trace
+	var heldID string
 	for i := 0; i < 6; i++ {
-		tr := rec.Start("r")
-		if i == 0 || i == 1 {
-			time.Sleep(7 * time.Millisecond)
-			slowIDs[tr.ID] = true
+		ctx, rc := Begin(context.Background(), rec, "", "GET", "/docs/")
+		tm := StartStageChild(ctx, obs.StagePrune)
+		if i == 0 {
+			time.Sleep(2 * time.Millisecond)
+			held, heldID = rc.Trace, rc.ID
 		}
-		tr.Finish()
+		tm.End()
+		rc.Cost.NodesSwept = int64(i + 1)
+		rc.End(200)
+		rc.Release()
 	}
-	recent, slow := rec.Recent()
+	recent := rec.Recent()
 	if len(recent) != 3 {
-		t.Fatalf("recent ring holds %d, want 3", len(recent))
+		t.Fatalf("ring holds %d, want 3", len(recent))
 	}
 	for _, tr := range recent {
-		if slowIDs[tr.ID] {
-			t.Error("slow traces should have been evicted from the recent ring by newer traffic")
+		if tr == held {
+			t.Error("the first trace should have been evicted by newer traffic")
 		}
 	}
-	if len(slow) != 2 {
-		t.Fatalf("slow ring holds %d, want 2", len(slow))
+	if rec.Lookup(held.ID) != nil {
+		t.Error("Lookup found an evicted trace")
 	}
-	for _, tr := range slow {
-		if !slowIDs[tr.ID] {
-			t.Errorf("fast trace %s in slow ring", tr.ID)
-		}
-		if !tr.Snapshot(false).Slow {
-			t.Error("slow trace snapshot not marked Slow")
-		}
-		if rec.Lookup(tr.ID) != tr {
-			t.Error("Lookup must find slow-ring traces after recent-ring eviction")
-		}
+	snap := held.Snapshot(true)
+	if snap.ID != heldID || len(snap.Spans) != 2 || snap.Spans[1].Name != "prune" {
+		t.Fatalf("held trace lost its waterfall: %+v", snap)
+	}
+	if snap.Cost == nil || snap.Cost.NodesSwept != 1 || snap.Cost.Stages[obs.StagePrune] < int64(2*time.Millisecond) {
+		t.Errorf("held trace lost its card: %+v", snap.Cost)
 	}
 	if rec.Lookup("no-such-id") != nil {
 		t.Error("Lookup of unknown ID should be nil")
@@ -209,13 +280,15 @@ func TestRingEvictionAndSlowCapture(t *testing.T) {
 }
 
 func TestSampling(t *testing.T) {
-	rec := NewRecorder(Options{Capacity: 100, SampleEvery: 10, SlowThreshold: -1})
+	rec := NewRecorder(Options{Capacity: 100, SampleEvery: 10})
 	traced := 0
 	for i := 0; i < 100; i++ {
-		if tr := rec.Start("r"); tr != nil {
+		_, rc := Begin(context.Background(), rec, "", "GET", "/r")
+		if rc.Trace != nil {
 			traced++
-			tr.Finish()
 		}
+		rc.End(200)
+		rc.Release()
 	}
 	if traced != 10 {
 		t.Errorf("SampleEvery=10 traced %d of 100, want 10", traced)
@@ -227,11 +300,10 @@ func TestSampling(t *testing.T) {
 }
 
 func TestConcurrentSpansAndFinish(t *testing.T) {
-	rec := NewRecorder(Options{Capacity: 8, SampleEvery: 1, SlowThreshold: -1})
+	rec := NewRecorder(Options{Capacity: 8, SampleEvery: 1})
 	const workers = 8
 	for round := 0; round < 4; round++ {
-		tr := rec.Start("r")
-		ctx := NewContext(context.Background(), tr.Root())
+		ctx, rc := Begin(context.Background(), rec, "", "GET", "/r")
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -245,7 +317,8 @@ func TestConcurrentSpansAndFinish(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		tr.Finish()
+		rc.End(200)
+		rc.Release()
 	}
 	// Snapshots concurrent with new traffic (the /debug/traces reader).
 	var wg sync.WaitGroup
@@ -253,17 +326,17 @@ func TestConcurrentSpansAndFinish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			tr := rec.Start("r")
-			_, sp := StartSpan(NewContext(context.Background(), tr.Root()), "s")
+			ctx, rc := Begin(context.Background(), rec, "", "GET", "/r")
+			_, sp := StartSpan(ctx, "s")
 			sp.End()
-			tr.Finish()
+			rc.End(200)
+			rc.Release()
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			recent, _ := rec.Recent()
-			for _, tr := range recent {
+			for _, tr := range rec.Recent() {
 				_ = tr.Snapshot(true)
 			}
 		}

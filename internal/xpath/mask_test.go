@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"xmlsec/internal/dom"
-	"xmlsec/internal/obs"
 	"xmlsec/internal/trace"
 )
 
@@ -81,8 +80,8 @@ func TestSelectArenaBudget(t *testing.T) {
 	doc := parityDoc(t, b.String())
 	ar := doc.ReadArena()
 	for _, src := range []string{`//*[count(//*) > 0]`, `/r[//e/@a != //e/@a]`} {
-		card := &obs.CostCard{}
-		ctx := trace.WithRequest(stdcontext.Background(), "budget", card)
+		ctx, rc := trace.Begin(stdcontext.Background(), nil, "budget", "", "")
+		card := &rc.Cost
 		_, err := MustCompile(src).SelectArena(ctx, ar, nil)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: err = %v, want ErrBudget", src, err)
@@ -90,6 +89,7 @@ func TestSelectArenaBudget(t *testing.T) {
 		if card.XPathBudgetStops != 1 || card.ArenaXPathEvals != 1 {
 			t.Errorf("%s: cost card: %d budget stops over %d evaluations, want 1 over 1", src, card.XPathBudgetStops, card.ArenaXPathEvals)
 		}
+		rc.Release()
 	}
 	// A linear query over the same document stays well within budget.
 	if _, err := MustCompile(`//e[@a = 1]`).SelectArena(stdcontext.Background(), ar, nil); err != nil {
@@ -101,8 +101,10 @@ func TestSelectArenaBudget(t *testing.T) {
 // context's error, charged to the request's cost card.
 func TestSelectArenaCancelled(t *testing.T) {
 	doc := parityDoc(t, arenaTestDoc)
-	card := &obs.CostCard{}
-	ctx, cancel := stdcontext.WithCancel(trace.WithRequest(stdcontext.Background(), "cancel", card))
+	rctx, rc := trace.Begin(stdcontext.Background(), nil, "cancel", "", "")
+	defer rc.Release()
+	card := &rc.Cost
+	ctx, cancel := stdcontext.WithCancel(rctx)
 	cancel()
 	_, err := MustCompile(`//*`).SelectArena(ctx, doc.ReadArena(), nil)
 	if !errors.Is(err, stdcontext.Canceled) {
