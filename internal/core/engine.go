@@ -191,7 +191,7 @@ type Stats struct {
 // the shared read-only original and Mask carries the visibility
 // decision per node, so nothing is copied and the original nodes are
 // the view nodes. Consumers should go through Empty, Visible,
-// OriginOf, WriteXML and Materialize rather than reading the fields.
+// OriginOf, WriteXML, Text and Materialize rather than reading the fields.
 type View struct {
 	// Doc is the shared original document the view is over; it is
 	// never mutated.
@@ -234,6 +234,14 @@ func (v *View) OriginOf(n *dom.Node) *dom.Node {
 func (v *View) WriteXML(w io.Writer, opts dom.WriteOptions) error {
 	opts.Mask = v.Mask
 	return v.Doc.Write(w, opts)
+}
+
+// Text returns the view as WriteXML writes it, holding each fully
+// visible subtree as a reference into the document's rendering instead
+// of a copy (see dom.ViewText). Any Mask in opts is overridden.
+func (v *View) Text(opts dom.WriteOptions) dom.ViewText {
+	opts.Mask = v.Mask
+	return v.Doc.ViewText(opts)
 }
 
 // XMLIndent returns the view pretty-printed with the given indent unit,

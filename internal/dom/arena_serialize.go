@@ -1,6 +1,9 @@
 package dom
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // arenaWriter serializes an arena through a visibility mask — the only
 // masked serializer. Output is byte-identical to the pointer-tree
@@ -23,6 +26,10 @@ type arenaWriter struct {
 	// bytes.Buffer: each element's span is recorded from the buffer's
 	// length before and after it.
 	rec *rendering
+
+	// refs is set only while a ViewText is written: a subtree copied
+	// from the rendering is recorded there as a reference instead.
+	refs *bytes.Buffer
 }
 
 // writeContent emits the arena's top-level children (the prolog
@@ -30,9 +37,11 @@ type arenaWriter struct {
 // body loop. copySpans lets a masked write under ServeIndent copy fully
 // visible subtrees out of the arena's rendering; the caller sets it
 // only for an arena its document caches, so the rendering is built
-// once per document version rather than once per write.
-func (a *Arena) writeContent(w *errWriter, opts WriteOptions, copySpans bool) {
-	s := arenaWriter{a: a, w: w, indent: opts.Indent, mask: opts.Mask}
+// once per document version rather than once per write. With refs set
+// (a ViewText write), those subtrees are recorded as references; the
+// rendering they point into is returned.
+func (a *Arena) writeContent(w *errWriter, opts WriteOptions, copySpans bool, refs *bytes.Buffer) *rendering {
+	s := arenaWriter{a: a, w: w, indent: opts.Indent, mask: opts.Mask, refs: refs}
 	if copySpans && opts.Mask != nil && opts.Indent == ServeIndent {
 		s.copy = a.rendering()
 	}
@@ -45,6 +54,7 @@ func (a *Arena) writeContent(w *errWriter, opts WriteOptions, copySpans bool) {
 			w.str("\n")
 		}
 	}
+	return s.copy
 }
 
 // writeIndent emits depth copies of the indent unit.
@@ -106,6 +116,32 @@ func (s *arenaWriter) recordEnd(i int32) {
 	}
 }
 
+// ref records element i's rendered subtree as a reference at the
+// current end of the literal (see ViewText). When the literal written
+// since the previous reference is exactly the rendering's bytes between
+// the two spans, the previous reference is extended over both instead:
+// fully visible siblings, and subtrees separated only by tags the view
+// shows whole, become one reference.
+func (s *arenaWriter) ref(i int32) {
+	sp := s.copy.spans[s.copy.elems.rank(i)]
+	lit := s.w.buf.Bytes()
+	if r := s.refs.Bytes(); len(r) > 0 {
+		last := r[len(r)-refSize:]
+		at, off := binary.LittleEndian.Uint32(last), binary.LittleEndian.Uint32(last[4:])
+		end := off + binary.LittleEndian.Uint32(last[8:])
+		if sp.off >= end && bytes.Equal(lit[at:], s.copy.buf[end:sp.off]) {
+			s.w.buf.Truncate(int(at))
+			binary.LittleEndian.PutUint32(last[8:], sp.off+sp.n-off)
+			return
+		}
+	}
+	var r [refSize]byte
+	binary.LittleEndian.PutUint32(r[:], uint32(len(lit)))
+	binary.LittleEndian.PutUint32(r[4:], sp.off)
+	binary.LittleEndian.PutUint32(r[8:], sp.n)
+	s.refs.Write(r[:])
+}
+
 // node serializes the mask-visible subtree rooted at index i, whose
 // subtree ends at end (tracked only when copying spans). The caller has
 // already established that i itself is visible.
@@ -114,7 +150,11 @@ func (s *arenaWriter) node(i int32, depth int, end int32) {
 	switch a.kind[i] {
 	case ElementNode:
 		if s.copy != nil && s.mask.allSet(int(i), int(end)) {
-			w.bytes(s.copy.span(i))
+			if s.refs != nil {
+				s.ref(i)
+			} else {
+				w.bytes(s.copy.span(i))
+			}
 			return
 		}
 		s.recordStart(i)

@@ -92,6 +92,14 @@ func EscapeAttr(s string) string {
 // Write serializes the document to w using the given options.
 func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 	ew := newErrWriter(w)
+	d.write(ew, opts, nil)
+	return ew.err
+}
+
+// write emits the document under opts; with refs set, it records each
+// fully visible subtree as a reference (see ViewText) instead of
+// copying it, and returns the rendering the references point into.
+func (d *Document) write(ew *errWriter, opts WriteOptions, refs *bytes.Buffer) *rendering {
 	if !opts.OmitDecl {
 		ew.str(`<?xml version="`)
 		if d.Version != "" {
@@ -145,8 +153,7 @@ func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 	// byte-identical output; FuzzArenaParity and the arena tests pin
 	// the equivalence.
 	if d.arena != nil || opts.Mask != nil {
-		d.ReadArena().writeContent(ew, opts, d.arena != nil)
-		return ew.err
+		return d.ReadArena().writeContent(ew, opts, d.arena != nil, refs)
 	}
 	for _, c := range d.Node.Children {
 		writeNode(ew, c, opts.Indent, 0)
@@ -154,7 +161,7 @@ func (d *Document) Write(w io.Writer, opts WriteOptions) error {
 			ew.str("\n")
 		}
 	}
-	return ew.err
+	return nil
 }
 
 // String serializes the document with default options and returns it.

@@ -95,11 +95,11 @@ func (a *auditor) log(rec AuditRecord) {
 // "read", "query", "write" or "update". The request ID and a copy of
 // the cost card come from the request record ctx carries (neither is
 // set for direct API use); a successful read or query also reports its
-// view's size from res. One ladder maps err to the decision for every
+// view's size from v. One ladder maps err to the decision for every
 // op. Conflicts get their own decision: a script that no longer fits
 // the document is an ordinary coordination event, not an authorization
 // one, and filtering the trail for "forbidden" must not drown in them.
-func (s *Site) auditOp(ctx context.Context, op string, rq subjects.Requester, uri string, res *ProcessResult, err error) {
+func (s *Site) auditOp(ctx context.Context, op string, rq subjects.Requester, uri string, v *servedView, err error) {
 	if s.audit == nil {
 		return
 	}
@@ -112,8 +112,8 @@ func (s *Site) auditOp(ctx context.Context, op string, rq subjects.Requester, ur
 	switch {
 	case err == nil:
 		rec.Decision = "ok"
-		if res != nil {
-			rec.Kept, rec.Nodes = res.View.Stats.Kept, res.View.Stats.Nodes
+		if v != nil {
+			rec.Kept, rec.Nodes = v.view.Stats.Kept, v.view.Stats.Nodes
 		}
 	case isNotFound(err):
 		rec.Decision = "not-found"

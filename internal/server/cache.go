@@ -75,8 +75,8 @@ type viewKey struct {
 
 type cacheEntry struct {
 	key viewKey
-	res *ProcessResult
-	at  time.Time // installation (or refresh) instant, for /debug/cachez
+	res *servedView
+	at  time.Time // installation instant, for /debug/cachez
 }
 
 // flight is one in-progress view computation: the leader computes and
@@ -86,7 +86,7 @@ type cacheEntry struct {
 // panicked; followers then compute for themselves.
 type flight struct {
 	done chan struct{}
-	res  *ProcessResult
+	res  *servedView
 	err  error
 }
 
@@ -102,26 +102,12 @@ func newViewCache(max int) *viewCache {
 	}
 }
 
-func (c *viewCache) get(k viewKey) (*ProcessResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.advanceLocked(k.gen)
-	el, ok := c.index[k]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*cacheEntry).res, true
-}
-
 // beginFlight is the miss path's entry point: a cache hit returns the
 // entry directly; otherwise the caller either becomes the leader of a
 // new flight for k (leader=true: compute the view, then call
 // completeFlight exactly once) or receives an existing flight to wait
 // on (leader=false: block on fl.done, then read fl.res/fl.err).
-func (c *viewCache) beginFlight(k viewKey) (res *ProcessResult, fl *flight, leader bool) {
+func (c *viewCache) beginFlight(k viewKey) (res *servedView, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(k.gen)
@@ -147,7 +133,7 @@ func (c *viewCache) beginFlight(k viewKey) (res *ProcessResult, fl *flight, lead
 // generations (the document was snapshotted atomically with them), so
 // followers may use it, but caching it would race the invalidation
 // that the generation bump implies.
-func (c *viewCache) completeFlight(k viewKey, fl *flight, res *ProcessResult, err error, store bool) {
+func (c *viewCache) completeFlight(k viewKey, fl *flight, res *servedView, err error, store bool) {
 	c.mu.Lock()
 	if store && err == nil && res != nil {
 		c.putLocked(k, res)
@@ -158,22 +144,11 @@ func (c *viewCache) completeFlight(k viewKey, fl *flight, res *ProcessResult, er
 	close(fl.done)
 }
 
-func (c *viewCache) put(k viewKey, res *ProcessResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(k, res)
-}
-
-func (c *viewCache) putLocked(k viewKey, res *ProcessResult) {
+// putLocked installs a flight leader's view. Only the leader of k's
+// flight installs under k, and it leads only when k had no entry.
+func (c *viewCache) putLocked(k viewKey, res *servedView) {
 	if !c.advanceLocked(k.gen) {
 		return // keyed under a superseded vector: it could never hit
-	}
-	if el, ok := c.index[k]; ok {
-		e := el.Value.(*cacheEntry)
-		e.res = res
-		e.at = time.Now()
-		c.lru.MoveToFront(el)
-		return
 	}
 	el := c.lru.PushFront(&cacheEntry{key: k, res: res, at: time.Now()})
 	c.index[k] = el
@@ -210,17 +185,20 @@ func (c *viewCache) Coalesced() uint64 { return c.coalesced.Load() }
 
 // CacheEntryInfo describes one cached view for state introspection
 // (/debug/cachez): its key fields — the equivalence class, the
-// document, and the four generations the entry is valid under — plus its age and the size of
-// the unparsed XML it shortcuts to.
+// document, and the four generations the entry is valid under — plus
+// its age, the length of its text (0 until a read renders it) and the
+// bytes it holds of its own: its mask and its text's literal and
+// references, not the document or the rendering they share.
 type CacheEntryInfo struct {
-	Class        subjects.ClassID `json:"class"`
-	URI          string           `json:"uri"`
-	AuthGen      uint64           `json:"auth_gen"`
-	DocGen       uint64           `json:"doc_gen"`
-	PolicyGen    uint64           `json:"policy_gen"`
-	DirectoryGen uint64           `json:"directory_gen"`
-	AgeNs        int64            `json:"age_ns"`
-	Bytes        int              `json:"bytes"`
+	Class         subjects.ClassID `json:"class"`
+	URI           string           `json:"uri"`
+	AuthGen       uint64           `json:"auth_gen"`
+	DocGen        uint64           `json:"doc_gen"`
+	PolicyGen     uint64           `json:"policy_gen"`
+	DirectoryGen  uint64           `json:"directory_gen"`
+	AgeNs         int64            `json:"age_ns"`
+	Bytes         int              `json:"bytes"`
+	ResidentBytes int              `json:"resident_bytes"`
 }
 
 // Entries returns the vector every cached view is keyed under and a
@@ -235,10 +213,10 @@ func (c *viewCache) Entries() (generations, []CacheEntryInfo) {
 		info := CacheEntryInfo{
 			Class: e.key.class, URI: e.key.uri, AuthGen: e.key.gen.Auth, DocGen: e.key.gen.Doc,
 			PolicyGen: e.key.gen.Policy, DirectoryGen: e.key.gen.Directory,
-			AgeNs: now.Sub(e.at).Nanoseconds(),
+			AgeNs: now.Sub(e.at).Nanoseconds(), ResidentBytes: e.res.resident(),
 		}
-		if e.res != nil {
-			info.Bytes = len(e.res.XML)
+		if e.res.rendered.Load() {
+			info.Bytes = e.res.text.Len()
 		}
 		out = append(out, info)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"xmlsec/internal/authz"
+	"xmlsec/internal/core"
 	"xmlsec/internal/dom"
 	"xmlsec/internal/labexample"
 	"xmlsec/internal/subjects"
@@ -114,6 +116,28 @@ func TestViewCacheBypassedWithTimeBoundedAuths(t *testing.T) {
 	}
 }
 
+// install files res under k the one way the serve path does: as the
+// leader of k's flight, storing its result. A key that hits leads no
+// flight and installs nothing.
+func install(c *viewCache, k viewKey, res *servedView) {
+	if _, fl, leader := c.beginFlight(k); leader {
+		c.completeFlight(k, fl, res, nil, true)
+	}
+}
+
+// lookup reports whether k hits, completing the flight a miss leads
+// without storing anything.
+func lookup(c *viewCache, k viewKey) bool {
+	res, fl, leader := c.beginFlight(k)
+	if leader {
+		c.completeFlight(k, fl, nil, nil, false)
+	}
+	return res != nil
+}
+
+// testView is a cached view with an empty mask and no text.
+func testView() *servedView { return &servedView{view: &core.View{}, cached: true} }
+
 // TestViewCacheLRUEviction: under a fixed generation vector the cache
 // is a plain LRU of bounded size.
 func TestViewCacheLRUEviction(t *testing.T) {
@@ -122,25 +146,26 @@ func TestViewCacheLRUEviction(t *testing.T) {
 	k1 := viewKey{class: 1, uri: "1", gen: g}
 	k2 := viewKey{class: 1, uri: "2", gen: g}
 	k3 := viewKey{class: 1, uri: "3", gen: g}
-	c.put(k1, &ProcessResult{XML: "1"})
-	c.put(k2, &ProcessResult{XML: "2"})
-	if _, ok := c.get(k1); !ok {
+	install(c, k1, testView())
+	install(c, k2, testView())
+	if !lookup(c, k1) {
 		t.Fatal("k1 should be cached")
 	}
-	c.put(k3, &ProcessResult{XML: "3"}) // evicts k2 (least recent)
-	if _, ok := c.get(k2); ok {
+	install(c, k3, testView()) // evicts k2 (least recent)
+	if lookup(c, k2) {
 		t.Error("k2 should have been evicted")
 	}
-	if _, ok := c.get(k1); !ok {
+	if !lookup(c, k1) {
 		t.Error("k1 should have survived (recently used)")
 	}
-	if _, ok := c.get(k3); !ok {
+	if !lookup(c, k3) {
 		t.Error("k3 should be cached")
 	}
-	// Overwriting an existing key keeps the size bounded.
-	c.put(k3, &ProcessResult{XML: "3b"})
-	if got, _ := c.get(k3); got.XML != "3b" {
-		t.Error("put should replace existing entries")
+	// A cached key is a hit: it leads no flight, so nothing replaces it.
+	first, _, _ := c.beginFlight(k3)
+	install(c, k3, testView())
+	if again, _, _ := c.beginFlight(k3); again != first || c.Len() != 2 {
+		t.Error("installing under a cached key replaced its entry")
 	}
 }
 
@@ -215,24 +240,23 @@ func TestViewCacheNotStaleAcrossValidityExpiry(t *testing.T) {
 func TestViewCacheGenerations(t *testing.T) {
 	g1 := generations{Auth: 3, Doc: 5, Policy: 1, Directory: 2}
 	key := func(uri string, g generations) viewKey { return viewKey{class: 1, uri: uri, gen: g} }
-	res := func(s string) *ProcessResult { return &ProcessResult{XML: s} }
 	for _, tc := range []struct {
 		name string
 		run  func(c *viewCache) (wantLen int, wantGen generations)
 	}{
 		{"install under a newer vector empties the cache", func(c *viewCache) (int, generations) {
-			c.put(key("a", g1), res("a"))
-			c.put(key("b", g1), res("b"))
+			install(c, key("a", g1), testView())
+			install(c, key("b", g1), testView())
 			g2 := g1
 			g2.Doc++
-			c.put(key("c", g2), res("c"))
-			if _, ok := c.get(key("a", g1)); ok {
+			install(c, key("c", g2), testView())
+			if lookup(c, key("a", g1)) {
 				t.Error("an entry of the superseded vector survived")
 			}
 			return 1, g2
 		}},
 		{"lookup under a newer vector empties the cache", func(c *viewCache) (int, generations) {
-			c.put(key("a", g1), res("a"))
+			install(c, key("a", g1), testView())
 			g2 := g1
 			g2.Directory++
 			if _, fl, leader := c.beginFlight(key("a", g2)); !leader {
@@ -243,21 +267,21 @@ func TestViewCacheGenerations(t *testing.T) {
 			return 0, g2
 		}},
 		{"install under an older vector is refused", func(c *viewCache) (int, generations) {
-			c.put(key("a", g1), res("a"))
+			install(c, key("a", g1), testView())
 			old := g1
 			old.Auth--
-			c.put(key("b", old), res("b"))
-			if _, ok := c.get(key("a", g1)); !ok {
+			install(c, key("b", old), testView())
+			if !lookup(c, key("a", g1)) {
 				t.Error("a stale install retired the current entries")
 			}
 			return 1, g1
 		}},
 		{"install under an incomparable vector is refused", func(c *viewCache) (int, generations) {
-			c.put(key("a", g1), res("a"))
+			install(c, key("a", g1), testView())
 			mixed := g1
 			mixed.Policy++
 			mixed.Doc--
-			c.put(key("b", mixed), res("b"))
+			install(c, key("b", mixed), testView())
 			return 0, generations{Auth: 3, Doc: 5, Policy: 2, Directory: 2}
 		}},
 	} {
@@ -365,4 +389,37 @@ func TestSupersededDocumentReleased(t *testing.T) {
 	// Without this the whole site is unreachable too, and the test would
 	// pass whatever the cache retained.
 	runtime.KeepAlive(site)
+}
+
+// TestQueryLeavesViewUnrendered: a query caches the view it computes
+// but renders no text for it, so the entry holds only its mask; the
+// first GET renders the text once and later GETs reuse it.
+func TestQueryLeavesViewUnrendered(t *testing.T) {
+	site := labSite(t).EnableViewCache(16)
+	h := site.Handler()
+	const ip = "130.100.50.8"
+	entry := func() CacheEntryInfo {
+		t.Helper()
+		_, entries := site.cache.Entries()
+		if len(entries) != 1 {
+			t.Fatalf("cache holds %d entries, want 1", len(entries))
+		}
+		return entries[0]
+	}
+	if code, _, _ := getID(t, h, "/query/"+labexample.DocURI+"?q=//title", "Tom", "pw-tom", ip); code != http.StatusOK {
+		t.Fatalf("query: HTTP %d", code)
+	}
+	maskBytes := 8 * len(site.cache.lru.Front().Value.(*cacheEntry).res.view.Mask)
+	if e := entry(); e.Bytes != 0 || e.ResidentBytes != maskBytes {
+		t.Errorf("after a query the entry reports %d bytes, %d resident; want 0 and its %d mask bytes", e.Bytes, e.ResidentBytes, maskBytes)
+	}
+	_, body, _ := getID(t, h, "/docs/"+labexample.DocURI, "Tom", "pw-tom", ip)
+	rendered := entry()
+	if rendered.Bytes != len(body) || rendered.ResidentBytes <= maskBytes {
+		t.Errorf("after a GET the entry reports %d bytes, %d resident; want %d and more than its mask", rendered.Bytes, rendered.ResidentBytes, len(body))
+	}
+	_, again, _ := getID(t, h, "/docs/"+labexample.DocURI, "Tom", "pw-tom", ip)
+	if e := entry(); again != body || e.Bytes != rendered.Bytes || e.ResidentBytes != rendered.ResidentBytes {
+		t.Error("a second GET changed the body or re-rendered the entry")
+	}
 }

@@ -190,7 +190,7 @@ func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	uri := strings.TrimPrefix(r.URL.Path, "/docs/")
 	rq := s.RequesterFor(user, s.peerIP(r))
-	res, err := s.ProcessContext(r.Context(), rq, uri)
+	_, b, err := s.read(r.Context(), rq, uri)
 	switch {
 	case errors.Is(err, ErrNotFound):
 		// Unknown documents and fully protected documents are
@@ -209,12 +209,14 @@ func (s *Site) handleDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal error", http.StatusInternalServerError)
 		return
 	}
-	// A cached view is an immutable string shared by every hit: write
-	// it without converting it to a fresh []byte, and with its length,
-	// so the response is not chunked.
+	// The view's text is assembled in one pooled buffer (a cached view's
+	// literal runs and rendering spans, or an uncached view's masked
+	// write) and written once, with its length, so the response is not
+	// chunked and builds no string.
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(res.XML)))
-	_, _ = io.WriteString(w, res.XML)
+	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))
+	_, _ = w.Write(b.Bytes())
+	dom.PutBuffer(b)
 }
 
 func (s *Site) handleUpdate(w http.ResponseWriter, r *http.Request) {

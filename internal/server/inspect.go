@@ -103,20 +103,22 @@ func (s *Site) handleSlowz(w http.ResponseWriter, r *http.Request) {
 }
 
 // cachezResponse is the body of GET /debug/cachez. Generations is the
-// vector every entry is keyed under (the cache holds no other), and
-// Bytes totals the entries' unparsed XML.
+// vector every entry is keyed under (the cache holds no other). Bytes
+// totals the entries' rendered text lengths, ResidentBytes what the
+// entries hold of their own: the figure that grows the heap.
 type cachezResponse struct {
-	Hits        uint64           `json:"hits"`
-	Misses      uint64           `json:"misses"`
-	Coalesced   uint64           `json:"coalesced"`
-	Generations generations      `json:"generations"`
-	Bytes       int              `json:"bytes"`
-	Entries     []CacheEntryInfo `json:"entries"`
+	Hits          uint64           `json:"hits"`
+	Misses        uint64           `json:"misses"`
+	Coalesced     uint64           `json:"coalesced"`
+	Generations   generations      `json:"generations"`
+	Bytes         int              `json:"bytes"`
+	ResidentBytes int              `json:"resident_bytes"`
+	Entries       []CacheEntryInfo `json:"entries"`
 }
 
 // handleCachez serves GET /debug/cachez: the cache's generation vector
-// and total size, then every cached view with its class, generations,
-// age, and size. 404 until EnableViewCache.
+// and total sizes, then every cached view with its class, generations,
+// age, and sizes. 404 until EnableViewCache.
 func (s *Site) handleCachez(w http.ResponseWriter, r *http.Request) {
 	if s.cache == nil {
 		http.NotFound(w, r)
@@ -124,17 +126,19 @@ func (s *Site) handleCachez(w http.ResponseWriter, r *http.Request) {
 	}
 	hits, misses := s.cache.Stats()
 	gen, entries := s.cache.Entries()
-	total := 0
+	total, resident := 0, 0
 	for _, e := range entries {
 		total += e.Bytes
+		resident += e.ResidentBytes
 	}
 	s.writeJSON(w, cachezResponse{
-		Hits:        hits,
-		Misses:      misses,
-		Coalesced:   s.cache.Coalesced(),
-		Generations: gen,
-		Bytes:       total,
-		Entries:     entries,
+		Hits:          hits,
+		Misses:        misses,
+		Coalesced:     s.cache.Coalesced(),
+		Generations:   gen,
+		Bytes:         total,
+		ResidentBytes: resident,
+		Entries:       entries,
 	})
 }
 

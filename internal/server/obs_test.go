@@ -384,9 +384,15 @@ func TestInspectorContents(t *testing.T) {
 	if len(cz.Entries) != 1 || cz.Entries[0].URI != labexample.DocURI || cz.Entries[0].Bytes == 0 {
 		t.Errorf("cachez entries = %+v, want one %s entry with bytes", cz.Entries, labexample.DocURI)
 	}
-	if cz.Generations != currentGenerations(site) || len(cz.Entries) != 1 || cz.Bytes != cz.Entries[0].Bytes {
-		t.Errorf("cachez generations %+v, bytes %d: want the site's %+v and the entries' total",
-			cz.Generations, cz.Bytes, currentGenerations(site))
+	if cz.Generations != currentGenerations(site) || len(cz.Entries) != 1 || cz.Bytes != cz.Entries[0].Bytes ||
+		cz.ResidentBytes != cz.Entries[0].ResidentBytes {
+		t.Errorf("cachez generations %+v, bytes %d, resident %d: want the site's %+v and the entries' totals",
+			cz.Generations, cz.Bytes, cz.ResidentBytes, currentGenerations(site))
+	}
+	// The entry holds its mask and its text's literal and references;
+	// on the small lab view that is most of the view.
+	if e := cz.Entries[0]; e.ResidentBytes <= 0 || e.ResidentBytes > e.Bytes+512 {
+		t.Errorf("cachez entry holds %d resident bytes for a %d-byte view", e.ResidentBytes, e.Bytes)
 	}
 
 	code, body, _ = getID(t, h, "/debug/authindexz", "", "", "10.0.0.1")

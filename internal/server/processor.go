@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -170,7 +171,7 @@ type ProcessResult struct {
 	// View is the computed view: the shared document and its visibility
 	// mask.
 	View *core.View
-	// XML is the unparsed view document.
+	// XML is the unparsed view document, a fresh string on every call.
 	XML string
 	// DTDURI is the URI of the (loosened) DTD the view conforms to;
 	// empty for DTD-less documents.
@@ -185,7 +186,11 @@ type ProcessResult struct {
 //  2. tree labeling — the DOM tree is labeled with the requester's
 //     authorizations (core.Engine.Label inside ComputeView);
 //  3. transformation — the labeled tree is pruned to the view;
-//  4. unparsing — the pruned tree is serialized back to XML text.
+//  4. unparsing — the pruned tree is serialized back to XML text. A
+//     cached view is unparsed once, by the first read that needs its
+//     text, into a dom.ViewText that references the document's
+//     rendering for every fully visible subtree; later reads copy that
+//     text. An uncached view is written straight through its mask.
 //
 // The returned view references the loosened DTD, never the original.
 // An empty view returns ErrNotFound.
@@ -199,14 +204,109 @@ func (s *Site) Process(rq subjects.Requester, uri string) (*ProcessResult, error
 // the request ID is written into the audit record either way. A
 // context with neither adds no allocation to the cycle.
 func (s *Site) ProcessContext(ctx context.Context, rq subjects.Requester, uri string) (*ProcessResult, error) {
-	res, err := s.process(ctx, rq, uri)
-	s.auditOp(ctx, "read", rq, uri, res, err)
-	return res, err
+	v, b, err := s.read(ctx, rq, uri)
+	if err != nil {
+		return nil, err
+	}
+	res := &ProcessResult{View: v.view, XML: b.String(), DTDURI: v.dtdURI}
+	dom.PutBuffer(b)
+	return res, nil
 }
 
-// process runs the execution cycle for ProcessContext and QueryDocContext
-// without auditing it: each caller audits once its request is complete.
-func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (res *ProcessResult, err error) {
+// read runs the execution cycle for one document read and audits it.
+// It returns the view and its text, in a pooled buffer the caller
+// returns with dom.PutBuffer.
+func (s *Site) read(ctx context.Context, rq subjects.Requester, uri string) (*servedView, *bytes.Buffer, error) {
+	v, err := s.process(ctx, rq, uri)
+	var b *bytes.Buffer
+	if err == nil {
+		b, err = s.unparse(ctx, v)
+	}
+	s.auditOp(ctx, "read", rq, uri, v, err)
+	return v, b, err
+}
+
+// servedView is one computed view as the site serves it; the view cache
+// holds it for cacheable views. The text of a cached view is rendered
+// at most once, by the first read that needs it, and kept; a query
+// reads only the mask, so a view cached by a query holds no text.
+type servedView struct {
+	view   *core.View
+	dtdURI string
+	// cached is set for views reached through the view cache, which
+	// later requests may share: only they keep a text.
+	cached bool
+
+	render   sync.Once
+	text     dom.ViewText
+	rendered atomic.Bool // text is set; read by /debug/cachez
+}
+
+// writeOptions are the options a view is unparsed under.
+func (v *servedView) writeOptions() dom.WriteOptions {
+	return dom.WriteOptions{
+		// The serve indent is the one the document's rendering uses,
+		// so fully visible subtrees are referenced or copied rather
+		// than rewritten.
+		Indent: dom.ServeIndent,
+		// The view's DOCTYPE keeps the same system identifier; the
+		// site serves the loosened DTD under the original's URI.
+		OmitDocType: v.dtdURI == "",
+	}
+}
+
+// resident returns the bytes v holds of its own: its mask and its
+// text's literal and references. The document and its rendering are
+// shared and not counted.
+func (v *servedView) resident() int {
+	n := 8 * len(v.view.Mask)
+	if v.rendered.Load() {
+		n += v.text.Resident()
+	}
+	return n
+}
+
+// unparse writes v's text into a pooled buffer the caller returns with
+// dom.PutBuffer. A cached view renders its text on first use, timed as
+// the unparse stage of the request that renders it, and every read
+// copies the text. An uncached view is written through its mask, as
+// the unparse stage, and keeps no text.
+func (s *Site) unparse(ctx context.Context, v *servedView) (*bytes.Buffer, error) {
+	if v.cached {
+		v.render.Do(func() {
+			tm := trace.StartStageChild(ctx, obs.StageUnparse)
+			v.text = v.view.Text(v.writeOptions())
+			tm.End()
+			if card := trace.CostFromContext(ctx); card != nil {
+				card.BytesSerialized += int64(v.text.Len())
+			}
+			v.rendered.Store(true)
+		})
+		b := dom.GetBuffer(v.text.Len())
+		_, err := v.text.WriteTo(b)
+		return b, err
+	}
+	tm := trace.StartStageChild(ctx, obs.StageUnparse)
+	// Unparse through the visibility mask into a pooled, size-hinted
+	// buffer: the shared document's arena is swept directly, emitting
+	// only mask-visible nodes, with no per-request tree to build or
+	// discard and no per-request buffer growth once the pool is warm.
+	b := dom.GetBuffer(v.view.Doc.ReadArena().SizeHint())
+	if err := v.view.WriteXML(b, v.writeOptions()); err != nil {
+		dom.PutBuffer(b)
+		return nil, err
+	}
+	tm.End()
+	if card := trace.CostFromContext(ctx); card != nil {
+		card.BytesSerialized += int64(b.Len())
+	}
+	return b, nil
+}
+
+// process computes the requester's view for read and QueryDocContext,
+// through the view cache when it is on, without unparsing or auditing
+// it: each caller audits once its request is complete.
+func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (res *servedView, err error) {
 	s.initMetrics()
 	defer func() {
 		switch {
@@ -331,34 +431,10 @@ func (s *Site) process(ctx context.Context, rq subjects.Requester, uri string) (
 	if view.Empty() {
 		return nil, ErrNotFound
 	}
-	tm := trace.StartStageChild(ctx, obs.StageUnparse)
-	// Unparse through the visibility mask into a pooled, size-hinted
-	// buffer: the shared document's arena is swept directly, emitting
-	// only mask-visible nodes, with no per-request tree to build or
-	// discard and no per-request buffer growth once the pool is warm.
-	b := dom.GetBuffer(sd.Doc.ReadArena().SizeHint())
-	err = view.WriteXML(b, dom.WriteOptions{
-		// The serve indent is the one the document's rendering uses,
-		// so fully visible subtrees are copied rather than rewritten.
-		Indent: dom.ServeIndent,
-		// The view's DOCTYPE keeps the same system identifier; the
-		// site serves the loosened DTD under the original's URI.
-		OmitDocType: sd.DTDURI == "",
-	})
-	if err != nil {
-		dom.PutBuffer(b)
-		return nil, err
-	}
-	tm.End()
-	if card != nil {
-		card.BytesSerialized += int64(b.Len())
-	}
-	xml := b.String()
-	dom.PutBuffer(b)
 	// When this request leads a flight, the deferred completeFlight
 	// publishes the result to any coalesced followers and installs it in
 	// the cache (after re-checking the generations it was keyed under).
-	return &ProcessResult{View: view, XML: xml, DTDURI: sd.DTDURI}, nil
+	return &servedView{view: view, dtdURI: sd.DTDURI, cached: useCache}, nil
 }
 
 // EnableViewCache turns on memoization of processed views, bounded to

@@ -306,15 +306,16 @@ func TestDebugEndpointsGating(t *testing.T) {
 // TestRequestRecordAllocs bounds what the request record costs a read
 // through the whole handler: a GET as Tom with tracing off and the slow
 // board on (at its production threshold, so no request is admitted)
-// must allocate no more than it did while the card was pooled apart
-// from a context value holding the ID — 29 allocations per cached GET
-// and 59 per uncached GET, request construction excluded.
+// must allocate no more than it does with one pooled request record,
+// and with the view's text assembled in one pooled buffer rather than a
+// string — 25 allocations per cached GET and 54 per uncached GET,
+// request construction excluded (plus allocSlack in a race build).
 func TestRequestRecordAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cached bool
 		max    float64
-	}{{"cached", true, 29}, {"uncached", false, 59}} {
+	}{{"cached", true, 25}, {"uncached", false, 54}} {
 		site := labSite(t).EnableSlowLog(250*time.Millisecond, 64)
 		if tc.cached {
 			site.EnableViewCache(16)
@@ -331,7 +332,7 @@ func TestRequestRecordAllocs(t *testing.T) {
 			}
 		}
 		get() // warm the cache, the indexes and the record pool
-		if got := testing.AllocsPerRun(200, get); got > tc.max {
+		if got := testing.AllocsPerRun(200, get); got > tc.max+allocSlack {
 			t.Errorf("%s GET allocates %v times, want at most %v", tc.name, got, tc.max)
 		} else {
 			t.Logf("%s GET: %v allocations", tc.name, got)

@@ -170,8 +170,9 @@ func (s *Site) writeAccess(ctx context.Context, rq subjects.Requester, sd *Store
 // work) and returns the query result document. Queries run on the
 // view, never the original, so they cannot observe protected content.
 //
-// The view is obtained through Process, so queries share the site's
-// per-requester view cache with document reads. Query evaluation is
+// The view comes from the site's view cache when it is on, so queries
+// and document reads share cached views; a query reads only the view's
+// mask and never renders its text. Query evaluation is
 // strictly read-only over the cached view (it reads the shared arena
 // under the view's mask and copies matches out), which keeps the
 // sharing sound under concurrency; a regression test pins this under
@@ -197,12 +198,12 @@ func (s *Site) QueryDocContext(ctx context.Context, rq subjects.Requester, uri, 
 	if err := p.CheckNodeSet(); err != nil {
 		return nil, err
 	}
-	res, err := s.process(ctx, rq, uri)
+	v, err := s.process(ctx, rq, uri)
 	var out *dom.Document
 	if err == nil {
-		out, err = res.View.QueryResultOf(ctx, p)
+		out, err = v.view.QueryResultOf(ctx, p)
 	}
-	s.auditOp(ctx, "query", rq, uri, res, err)
+	s.auditOp(ctx, "query", rq, uri, v, err)
 	return out, err
 }
 
